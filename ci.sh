@@ -27,6 +27,24 @@ cargo test --release -q --test parity
 echo "== figure shape checks (quick) =="
 cargo run --release -p pm-bench --bin figures -- --quick --checks
 
+echo "== pmbench unit tests =="
+# pmbench is its own package (outside the workspace), so the workspace
+# test run above does not reach it. Its reduced-scale workload test
+# checks that the traced run, which materialises every MatMult trace,
+# matches the streamed measure path bit for bit.
+cargo test --offline --manifest-path pmbench/Cargo.toml
+
+echo "== MatMult golden (quick Fig 7/8 + X9 tiling) =="
+# The quick MatMult curves cover both the full-simulation (N <= 96) and
+# the row-sampled paths of matmultrun: the kernels' instruction streams,
+# the cycle engine, the memory hierarchy and the dual-CPU interleaving.
+# Regenerate an intentional change with:
+#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
+#     fig7a fig7b fig8a fig8b tiling > tests/goldens/matmult_quick.csv
+cargo run --release -p pm-bench --bin figures -- --quick --csv \
+  fig7a fig7b fig8a fig8b tiling > target/matmult_quick.csv
+diff -u tests/goldens/matmult_quick.csv target/matmult_quick.csv
+
 echo "== connection-model goldens (quick X5/X6) =="
 # The network/mesh connection models feed the X5/X6 artifacts; any
 # timing change in open/transfer/close or the stop-wire composition

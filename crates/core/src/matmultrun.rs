@@ -5,6 +5,9 @@
 //! the steady-state cycles per row, and the total extrapolates linearly
 //! (the multiply's per-row work is identical by construction). The
 //! sampling is validated against full simulation in the tests.
+//!
+//! Every phase streams its kernel's lazy emitter straight into the cycle
+//! engine, so no instruction trace is built on the measure path.
 
 use crate::systems::System;
 use pm_cpu::{run_smp_at, Cpu};
@@ -54,20 +57,21 @@ pub fn measure_single(system: &System, n: usize, version: MatMultVersion) -> Mat
 
         // The transposed version pays for the transposition up front.
         if version == MatMultVersion::Transposed {
-            let r = cpu.execute_at(kernel.transpose_trace(), mem, 0, cursor);
+            let pass = kernel.emit_transpose(0, kernel.transpose_len());
+            let r = cpu.execute_at(pass, mem, 0, cursor);
             cursor = r.finished_at;
             runtime += r.elapsed;
         }
 
         let sampled = n > FULL_SIM_LIMIT;
         if !sampled {
-            let r = cpu.execute_at(kernel.trace_rows(0, n), mem, 0, cursor);
+            let r = cpu.execute_at(kernel.emit_rows(0, n), mem, 0, cursor);
             runtime += r.elapsed;
         } else {
             // Warm-up row primes caches and branch predictor.
-            let warm = cpu.execute_at(kernel.trace_rows(0, 1), mem, 0, cursor);
+            let warm = cpu.execute_at(kernel.emit_rows(0, 1), mem, 0, cursor);
             cursor = warm.finished_at;
-            let measured = cpu.execute_at(kernel.trace_rows(1, 1 + SAMPLE_ROWS), mem, 0, cursor);
+            let measured = cpu.execute_at(kernel.emit_rows(1, 1 + SAMPLE_ROWS), mem, 0, cursor);
             let per_row = measured.elapsed / SAMPLE_ROWS as u64;
             runtime += per_row * n as u64;
         }
@@ -93,15 +97,18 @@ pub fn measure_dual(system: &System, n: usize, version: MatMultVersion) -> MatMu
         let mut cursor = Time::ZERO;
 
         if version == MatMultVersion::Transposed {
-            // Both CPUs transpose half of B each (the trace is identical per
-            // half in op count; reuse the full transpose split by address
-            // interleave — we approximate with each CPU doing the full pass
-            // over half the rows via the same trace halved in length).
-            let t = kernel.transpose_trace();
-            let mid = t.len() / 2;
-            let first: pm_isa::Trace = t.iter().take(mid).copied().collect();
-            let second: pm_isa::Trace = t.iter().skip(mid).copied().collect();
-            let results = run_smp_at(&configs, vec![first, second], mem, cursor);
+            // The CPUs split the transposition pass at its middle
+            // instruction: CPU 0 runs the first half of the (j, k) sweep,
+            // CPU 1 the rest, each moving about half of B. For odd N the
+            // split falls mid-element; CPU 1 resumes at exactly that
+            // instruction, with the register names it has in the pass.
+            let len = kernel.transpose_len();
+            let mid = len / 2;
+            let lanes = vec![
+                kernel.emit_transpose(0, mid),
+                kernel.emit_transpose(mid, len),
+            ];
+            let results = run_smp_at(&configs, lanes, mem, cursor);
             let slowest = results
                 .iter()
                 .map(|r| r.elapsed)
@@ -116,7 +123,8 @@ pub fn measure_dual(system: &System, n: usize, version: MatMultVersion) -> MatMu
         if !sampled {
             let results = run_smp_at(
                 &configs,
-                vec![kernel.trace_rows(0, half), kernel.trace_rows(half, n)],
+                // For N = 1 CPU 0's half is empty: it idles, CPU 1 works.
+                vec![kernel.emit_rows(0, half), kernel.emit_rows(half, n)],
                 mem,
                 cursor,
             );
@@ -129,7 +137,7 @@ pub fn measure_dual(system: &System, n: usize, version: MatMultVersion) -> MatMu
             // Warm + measure on both CPUs concurrently so contention shows.
             let warm = run_smp_at(
                 &configs,
-                vec![kernel.trace_rows(0, 1), kernel.trace_rows(half, half + 1)],
+                vec![kernel.emit_rows(0, 1), kernel.emit_rows(half, half + 1)],
                 mem,
                 cursor,
             );
@@ -141,8 +149,8 @@ pub fn measure_dual(system: &System, n: usize, version: MatMultVersion) -> MatMu
             let measured = run_smp_at(
                 &configs,
                 vec![
-                    kernel.trace_rows(1, 1 + SAMPLE_ROWS),
-                    kernel.trace_rows(half + 1, half + 1 + SAMPLE_ROWS),
+                    kernel.emit_rows(1, 1 + SAMPLE_ROWS),
+                    kernel.emit_rows(half + 1, half + 1 + SAMPLE_ROWS),
                 ],
                 mem,
                 cursor,
@@ -174,11 +182,11 @@ pub fn measure_blocked(system: &System, n: usize, tile: usize) -> MatMultMeasure
         let mut runtime = Duration::ZERO;
         let sampled = blocks > 2;
         if !sampled {
-            let r = cpu.execute_at(kernel.trace_block_rows(0, blocks), mem, 0, Time::ZERO);
+            let r = cpu.execute_at(kernel.emit_block_rows(0, blocks), mem, 0, Time::ZERO);
             runtime += r.elapsed;
         } else {
-            let warm = cpu.execute_at(kernel.trace_block_rows(0, 1), mem, 0, Time::ZERO);
-            let measured = cpu.execute_at(kernel.trace_block_rows(1, 2), mem, 0, warm.finished_at);
+            let warm = cpu.execute_at(kernel.emit_block_rows(0, 1), mem, 0, Time::ZERO);
+            let measured = cpu.execute_at(kernel.emit_block_rows(1, 2), mem, 0, warm.finished_at);
             runtime += measured.elapsed * blocks as u64;
         }
         MatMultMeasurement {
@@ -299,6 +307,27 @@ mod tests {
             blocked > 3.0 * naive,
             "tiled {blocked:.1} should far exceed naive {naive:.1}"
         );
+    }
+
+    #[test]
+    fn tiny_matrices_measure_single_and_dual() {
+        // N = 1 gives CPU 0 of the dual run an empty half of the rows
+        // (it idles); N = 3 splits both the rows and the transposition
+        // unevenly.
+        let pm = systems::powermanna();
+        for n in 1..=3 {
+            for version in [MatMultVersion::Naive, MatMultVersion::Transposed] {
+                for m in [
+                    measure_single(&pm, n, version),
+                    measure_dual(&pm, n, version),
+                ] {
+                    assert_eq!(m.n, n);
+                    assert!(!m.sampled);
+                    assert!(m.runtime > Duration::ZERO, "N={n} {version:?}");
+                    assert!(m.mflops.is_finite() && m.mflops > 0.0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -145,7 +145,12 @@ pub struct Cpu {
     last_issue: Time,
     restart_after: Time,
     dispatch_cycle: u64,
+    /// Start time of `dispatch_cycle`, kept in step with it so the
+    /// per-instruction path does no clock conversion.
+    dispatch_at: Time,
     slots_used: u32,
+    /// The core clock period, converted once.
+    period: Duration,
 }
 
 impl Cpu {
@@ -169,7 +174,9 @@ impl Cpu {
             last_issue: Time::ZERO,
             restart_after: Time::ZERO,
             dispatch_cycle: 0,
+            dispatch_at: Time::ZERO,
             slots_used: 0,
+            period: config.clock.period(),
             predictor,
             config,
         }
@@ -231,16 +238,16 @@ impl Cpu {
         cpu_id: usize,
         result: &mut RunResult,
     ) {
-        let cycle = self.config.clock.period();
+        let cycle = self.period;
         result.instrs += 1;
         result.flops += instr.op.flops();
 
         // --- Dispatch --------------------------------------------------
         if self.slots_used >= self.config.issue_width {
-            self.dispatch_cycle += 1;
+            self.set_dispatch_cycle(self.dispatch_cycle + 1);
             self.slots_used = 0;
         }
-        let mut dispatch = self.config.clock.time_of_cycle(self.dispatch_cycle);
+        let mut dispatch = self.dispatch_at;
         let natural_dispatch = dispatch;
 
         // Pipeline-refill after a mispredicted branch.
@@ -393,8 +400,13 @@ impl Cpu {
         self.last_complete = start;
         self.last_issue = start;
         self.restart_after = start;
-        self.dispatch_cycle = self.config.clock.cycle_at(start);
+        self.set_dispatch_cycle(self.config.clock.cycle_at(start));
         self.slots_used = 0;
+    }
+
+    fn set_dispatch_cycle(&mut self, cycle: u64) {
+        self.dispatch_cycle = cycle;
+        self.dispatch_at = self.config.clock.time_of_cycle(cycle);
     }
 
     /// Advances the dispatch cursor to the first cycle at or after `t`.
@@ -402,10 +414,10 @@ impl Cpu {
         let edge = self.config.clock.next_edge(t);
         let cyc = self.config.clock.cycle_at(edge);
         if cyc > self.dispatch_cycle {
-            self.dispatch_cycle = cyc;
+            self.set_dispatch_cycle(cyc);
             self.slots_used = 0;
         }
-        self.config.clock.time_of_cycle(self.dispatch_cycle)
+        self.dispatch_at
     }
 
     /// Drops completed entries from the in-flight windows.

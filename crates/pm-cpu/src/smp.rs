@@ -9,14 +9,18 @@
 
 use crate::config::CpuConfig;
 use crate::engine::{Cpu, RunResult};
-use pm_isa::Trace;
+use pm_isa::Instr;
 use pm_mem::MemorySystem;
 use pm_sim::time::Time;
 
-/// Runs one trace per CPU concurrently on a shared memory system.
+/// Runs one instruction stream per CPU concurrently on a shared memory
+/// system.
 ///
-/// Returns one [`RunResult`] per CPU. CPUs with exhausted traces drop out;
-/// the others continue.
+/// A lane is anything that yields instructions: a materialised
+/// [`Trace`](pm_isa::Trace) or a lazy kernel emitter, consumed one
+/// instruction at a time. Returns one [`RunResult`] per CPU. CPUs with
+/// exhausted streams drop out; the others continue (an empty lane
+/// finishes at the start time).
 ///
 /// # Panics
 ///
@@ -45,22 +49,24 @@ use pm_sim::time::Time;
 /// );
 /// assert_eq!(results.len(), 2);
 /// ```
-pub fn run_smp(
-    configs: &[CpuConfig],
-    traces: Vec<Trace>,
-    mem: &mut MemorySystem,
-) -> Vec<RunResult> {
+pub fn run_smp<L>(configs: &[CpuConfig], traces: Vec<L>, mem: &mut MemorySystem) -> Vec<RunResult>
+where
+    L: IntoIterator<Item = Instr>,
+{
     run_smp_at(configs, traces, mem, Time::ZERO)
 }
 
 /// Like [`run_smp`], but starting no earlier than `start` — used to chain
 /// phases (e.g. transpose, then multiply) over one warm memory system.
-pub fn run_smp_at(
+pub fn run_smp_at<L>(
     configs: &[CpuConfig],
-    traces: Vec<Trace>,
+    traces: Vec<L>,
     mem: &mut MemorySystem,
     start: Time,
-) -> Vec<RunResult> {
+) -> Vec<RunResult>
+where
+    L: IntoIterator<Item = Instr>,
+{
     assert!(!configs.is_empty(), "need at least one CPU");
     assert_eq!(configs.len(), traces.len(), "one trace per CPU is required");
     assert!(
@@ -68,14 +74,14 @@ pub fn run_smp_at(
         "more CPUs than memory ports"
     );
 
-    struct Lane {
+    struct Lane<I> {
         cpu: Cpu,
-        instrs: std::vec::IntoIter<pm_isa::Instr>,
+        instrs: I,
         result: RunResult,
         done: bool,
     }
 
-    let mut lanes: Vec<Lane> = configs
+    let mut lanes: Vec<Lane<L::IntoIter>> = configs
         .iter()
         .zip(traces)
         .map(|(cfg, trace)| {
@@ -137,7 +143,7 @@ pub fn speedup(single: &RunResult, smp: &[RunResult]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_isa::TraceBuilder;
+    use pm_isa::{Trace, TraceBuilder};
     use pm_mem::HierarchyConfig;
 
     /// A cache-resident FP kernel: both CPUs work out of their own L1s.
@@ -238,7 +244,7 @@ mod tests {
     #[should_panic(expected = "one trace per CPU")]
     fn rejects_mismatched_lanes() {
         let mut mem = MemorySystem::new(HierarchyConfig::mpc620_node(2));
-        run_smp(&[CpuConfig::mpc620()], vec![], &mut mem);
+        run_smp(&[CpuConfig::mpc620()], Vec::<Trace>::new(), &mut mem);
     }
 
     #[test]

@@ -37,4 +37,4 @@ pub mod trace;
 
 pub use instr::{BranchInfo, Instr, MemKind, MemRef, OpClass, Reg, VAddr};
 pub use parse::{parse_kernel, ParseError};
-pub use trace::{Trace, TraceBuilder, TraceStats};
+pub use trace::{RegNames, Trace, TraceBuilder, TraceStats};

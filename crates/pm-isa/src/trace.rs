@@ -155,6 +155,53 @@ impl Extend<Instr> for Trace {
     }
 }
 
+/// The register-name sequence a [`TraceBuilder`] hands out: `r0, r1, …`,
+/// wrapping at 4096 (the rename stage in `pm-cpu` keys on names, and
+/// kernels never keep 4096 values live).
+///
+/// Lazy kernel emitters use it directly so a streamed loop nest names its
+/// registers exactly as the builder-made trace of the same nest does.
+///
+/// # Examples
+///
+/// ```
+/// use pm_isa::{Reg, RegNames};
+///
+/// let mut names = RegNames::new();
+/// assert_eq!(names.fresh(), Reg(0));
+/// assert_eq!(names.fresh(), Reg(1));
+/// // Resuming mid-stream: the sequence after 4097 names.
+/// assert_eq!(RegNames::after(4097).fresh(), Reg(1));
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegNames {
+    next: u16,
+}
+
+impl RegNames {
+    /// Number of distinct names before the sequence wraps.
+    const COUNT: u64 = 4096;
+
+    /// A sequence starting at `r0`.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The sequence as it stands after `allocated` names were handed out.
+    pub fn after(allocated: u64) -> Self {
+        RegNames {
+            next: (allocated % Self::COUNT) as u16,
+        }
+    }
+
+    /// Hands out the next name.
+    pub fn fresh(&mut self) -> Reg {
+        let r = Reg(self.next);
+        self.next = ((self.next as u64 + 1) % Self::COUNT) as u16;
+        r
+    }
+}
+
 /// Emits instruction sequences with automatic register naming.
 ///
 /// Kernels obtain fresh register names with [`TraceBuilder::reg`], then emit
@@ -181,7 +228,7 @@ impl Extend<Instr> for Trace {
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuilder {
     trace: Trace,
-    next_reg: u16,
+    names: RegNames,
 }
 
 impl TraceBuilder {
@@ -201,16 +248,13 @@ impl TraceBuilder {
                 instrs: buf,
                 stats: TraceStats::default(),
             },
-            next_reg: 0,
+            names: RegNames::new(),
         }
     }
 
-    /// Allocates a fresh register name (wraps at 4096; the rename stage in
-    /// `pm-cpu` keys on names, and kernels never keep 4096 values live).
+    /// Allocates a fresh register name (see [`RegNames`]).
     pub fn reg(&mut self) -> Reg {
-        let r = Reg(self.next_reg);
-        self.next_reg = (self.next_reg + 1) % 4096;
-        r
+        self.names.fresh()
     }
 
     /// Emits a load of `bytes` at `addr`; returns the loaded value's register.

@@ -380,14 +380,23 @@ impl Clock {
     }
 }
 
-/// Computes `a * b / c` without overflow (via u128), truncating.
+/// Computes `a * b / c` without overflow, truncating: in u64 when the
+/// product fits (exactly the same result), via u128 otherwise.
 fn mul_div(a: u64, b: u64, c: u64) -> u64 {
-    ((a as u128 * b as u128) / c as u128) as u64
+    match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => ((a as u128 * b as u128) / c as u128) as u64,
+    }
 }
 
-/// Computes `a * b / c` without overflow (via u128), rounding to nearest.
+/// Computes `a * b / c` without overflow, rounding to nearest: in u64
+/// when the biased product fits (exactly the same result), via u128
+/// otherwise.
 fn mul_div_round(a: u64, b: u64, c: u64) -> u64 {
-    ((a as u128 * b as u128 + c as u128 / 2) / c as u128) as u64
+    match a.checked_mul(b).and_then(|p| p.checked_add(c / 2)) {
+        Some(p) => p / c,
+        None => ((a as u128 * b as u128 + c as u128 / 2) / c as u128) as u64,
+    }
 }
 
 #[cfg(test)]
@@ -456,6 +465,24 @@ mod tests {
         assert_eq!(format!("{}", Duration::from_ns(4)), "4.000ns");
         assert_eq!(format!("{}", Duration::from_us(3)), "3.000us");
         assert_eq!(format!("{}", Duration::from_ms(7)), "7.000ms");
+    }
+
+    #[test]
+    fn mul_div_fast_paths_match_wide_arithmetic() {
+        let wide = |a: u64, b: u64, c: u64| ((a as u128 * b as u128) / c as u128) as u64;
+        let wide_round =
+            |a: u64, b: u64, c: u64| ((a as u128 * b as u128 + c as u128 / 2) / c as u128) as u64;
+        // Products well inside u64, straddling the overflow edge, and far
+        // past it (the u128 fallback).
+        let edge = u64::MAX / 1_000_000_000;
+        for a in [0, 1, 7, 5_555, edge - 1, edge, edge + 1, u64::MAX / 3] {
+            for (b, c) in [(1_000_000_000, 180_000), (180_000, 1_000_000_000), (3, 7)] {
+                assert_eq!(mul_div(a, b, c), wide(a, b, c), "{a}*{b}/{c}");
+                assert_eq!(mul_div_round(a, b, c), wide_round(a, b, c), "{a}*{b}/{c}");
+            }
+        }
+        // The rounding bias alone pushing the sum past u64.
+        assert_eq!(mul_div_round(u64::MAX, 1, 3), wide_round(u64::MAX, 1, 3));
     }
 
     #[test]

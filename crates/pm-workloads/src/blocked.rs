@@ -9,7 +9,7 @@
 //! lines punish exactly the codes that do neither transform).
 
 use crate::matmult::MatMult;
-use pm_isa::{Trace, TraceBuilder};
+use pm_isa::{Instr, OpClass, Reg, RegNames, Trace, VAddr};
 
 /// A tiled `C = A * B` kernel over row-major matrices with odd strides.
 ///
@@ -86,42 +86,154 @@ impl BlockedMatMult {
     ///
     /// Panics on an empty or out-of-range block-row range.
     pub fn trace_block_rows(&self, bi_begin: usize, bi_end: usize) -> Trace {
+        assert!(bi_begin < bi_end, "bad block-row range");
+        self.emit_block_rows(bi_begin, bi_end).collect()
+    }
+
+    /// Streams block-rows `[bi_begin, bi_end)`: the same instructions and
+    /// register names as [`BlockedMatMult::trace_block_rows`], one at a
+    /// time. An empty range yields nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a reversed or out-of-range block-row range.
+    pub fn emit_block_rows(&self, bi_begin: usize, bi_end: usize) -> BlockRowsEmitter {
         assert!(
-            bi_begin < bi_end && bi_end <= self.block_rows(),
+            bi_begin <= bi_end && bi_end <= self.block_rows(),
             "bad block-row range"
         );
-        let mut tb = TraceBuilder::new();
-        let n = self.n;
-        let t = self.tile;
-        let stride_b = self.stride as u64 * ELEM;
-        for bi in bi_begin..bi_end {
-            for jj in (0..n).step_by(t) {
-                for kk in (0..n).step_by(t) {
-                    for i in bi * t..(bi + 1) * t {
-                        let a_row = A_BASE + i as u64 * stride_b;
-                        let c_row = C_BASE + i as u64 * stride_b;
-                        for j in jj..jj + t {
-                            // The running C value carries across kk tiles;
-                            // load it, accumulate the tile, store it back.
-                            let mut acc = tb.load(c_row + j as u64 * ELEM, 8);
-                            for k in kk..kk + t {
-                                let a = tb.load(a_row + k as u64 * ELEM, 8);
-                                let b = tb.load(B_BASE + k as u64 * stride_b + j as u64 * ELEM, 8);
-                                acc = tb.fmadd(a, b, acc);
-                                tb.branch(0x300, k + 1 != kk + t, None);
-                            }
-                            tb.store(acc, c_row + j as u64 * ELEM, 8);
-                        }
-                    }
-                }
-            }
+        let (n, t) = (self.n, self.tile);
+        BlockRowsEmitter {
+            n,
+            t,
+            stride_b: self.stride as u64 * ELEM,
+            bi: bi_begin,
+            jj: 0,
+            kk: 0,
+            i: bi_begin * t,
+            j: 0,
+            k: 0,
+            step: 0,
+            names: RegNames::new(),
+            acc: Reg(0),
+            a: Reg(0),
+            // Per block-row, every (jj, kk, i, j) — n² of them — loads C,
+            // runs t four-instruction k-iterations and stores C.
+            left: (bi_end - bi_begin) * n * n * (4 * t + 2),
         }
-        tb.finish()
     }
 
     /// The plain naive kernel at the same size, for side-by-side runs.
     pub fn naive_equivalent(&self) -> MatMult {
         MatMult::new(self.n, crate::matmult::MatMultVersion::Naive)
+    }
+}
+
+/// Lazy tiled-multiply emitter (see [`BlockedMatMult::emit_block_rows`]).
+///
+/// Loop order per block-row `bi`: tiles `jj`, `kk`, then rows `i` of the
+/// block and columns `j` of the tile. Per `(i, j)` the running `C` value
+/// carries across `kk` tiles: load it, per `k` load `A[i][k]` and
+/// `B[k][j]`, `fmadd` and branch back, then store it.
+#[derive(Clone, Debug)]
+pub struct BlockRowsEmitter {
+    n: usize,
+    t: usize,
+    stride_b: u64,
+    bi: usize,
+    jj: usize,
+    kk: usize,
+    i: usize,
+    j: usize,
+    k: usize,
+    /// Next instruction: 0 load C; of the `k` body 1 load A, 2 load B,
+    /// 3 fmadd, 4 branch; 5 the store of C.
+    step: u8,
+    names: RegNames,
+    acc: Reg,
+    a: Reg,
+    left: usize,
+}
+
+impl BlockRowsEmitter {
+    /// Moves to the next `(i, j)` of the nest after a store.
+    fn advance(&mut self) {
+        let (n, t) = (self.n, self.t);
+        self.j += 1;
+        if self.j == self.jj + t {
+            self.i += 1;
+            if self.i == (self.bi + 1) * t {
+                self.kk += t;
+                if self.kk == n {
+                    self.kk = 0;
+                    self.jj += t;
+                    if self.jj == n {
+                        self.jj = 0;
+                        self.bi += 1;
+                    }
+                }
+                self.i = self.bi * t;
+            }
+            self.j = self.jj;
+        }
+        self.k = self.kk;
+    }
+}
+
+impl Iterator for BlockRowsEmitter {
+    type Item = Instr;
+
+    fn next(&mut self) -> Option<Instr> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (i, j, k) = (self.i as u64, self.j as u64, self.k as u64);
+        let c_addr = C_BASE + i * self.stride_b + j * ELEM;
+        Some(match self.step {
+            0 => {
+                self.acc = self.names.fresh();
+                self.step = 1;
+                Instr::load(self.acc, VAddr(c_addr), 8, None)
+            }
+            1 => {
+                self.a = self.names.fresh();
+                self.step = 2;
+                Instr::load(
+                    self.a,
+                    VAddr(A_BASE + i * self.stride_b + k * ELEM),
+                    8,
+                    None,
+                )
+            }
+            2 => {
+                self.step = 3;
+                let addr = B_BASE + k * self.stride_b + j * ELEM;
+                Instr::load(self.names.fresh(), VAddr(addr), 8, None)
+            }
+            3 => {
+                let dst = self.names.fresh();
+                let fmadd = Instr::alu(OpClass::FpMadd, Some(dst), Some(self.a), Some(self.acc));
+                self.acc = dst;
+                self.step = 4;
+                fmadd
+            }
+            4 => {
+                self.k += 1;
+                let taken = self.k != self.kk + self.t;
+                self.step = if taken { 1 } else { 5 };
+                Instr::branch_at(0x300, taken, None)
+            }
+            _ => {
+                self.advance();
+                self.step = 0;
+                Instr::store(self.acc, VAddr(c_addr), 8)
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 

@@ -16,8 +16,13 @@
 //! The kernels emit exact address traces; large sizes are simulated by
 //! *row sampling* — emit a handful of `i`-rows after a warm-up row and
 //! extrapolate, validated against full simulation at small sizes.
+//!
+//! Each loop nest exists once, as a lazy emitter ([`MultiplyEmitter`],
+//! [`TransposeEmitter`]) that yields one instruction at a time, so the
+//! cycle engine can run it without a trace buffer; the `Trace`-returning
+//! functions just collect an emitter.
 
-use pm_isa::{Trace, TraceBuilder};
+use pm_isa::{Instr, OpClass, Reg, RegNames, Trace, VAddr};
 
 /// Which MatMult version (Figure 7a vs 7b).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -105,50 +110,84 @@ impl MatMult {
     /// Panics if the row range is out of bounds or empty.
     pub fn trace_rows(&self, row_begin: usize, row_end: usize) -> Trace {
         assert!(row_begin < row_end && row_end <= self.n, "bad row range");
-        let mut tb = TraceBuilder::new();
+        self.emit_rows(row_begin, row_end).collect()
+    }
+
+    /// Streams rows `[row_begin, row_end)` of the multiply loop: the same
+    /// instructions and register names as [`MatMult::trace_rows`], one at
+    /// a time. An empty range yields nothing (an idle SMP lane).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is reversed or out of bounds.
+    pub fn emit_rows(&self, row_begin: usize, row_end: usize) -> MultiplyEmitter {
+        assert!(row_begin <= row_end && row_end <= self.n, "bad row range");
         let n = self.n;
         let stride_b = self.stride as u64 * ELEM;
-        for i in row_begin..row_end {
-            let a_row = A_BASE + i as u64 * stride_b;
-            let c_row = C_BASE + i as u64 * stride_b;
-            for j in 0..n {
-                let mut acc = tb.reg();
-                for k in 0..n {
-                    let a = tb.load(a_row + k as u64 * ELEM, 8);
-                    let b = match self.version {
-                        // B[k][j]: walk down a column, stride = row.
-                        MatMultVersion::Naive => {
-                            tb.load(B_BASE + k as u64 * stride_b + j as u64 * ELEM, 8)
-                        }
-                        // BT[j][k]: walk along a row, sequential.
-                        MatMultVersion::Transposed => {
-                            tb.load(BT_BASE + j as u64 * stride_b + k as u64 * ELEM, 8)
-                        }
-                    };
-                    acc = tb.fmadd(a, b, acc);
-                    // Loop control, well predicted except the last trip.
-                    tb.branch(0x100, k + 1 != n, None);
-                }
-                tb.store(acc, c_row + j as u64 * ELEM, 8);
-            }
+        let (b_base, b_k_step, b_j_step) = match self.version {
+            // B[k][j]: walk down a column, stride = row.
+            MatMultVersion::Naive => (B_BASE, stride_b, ELEM),
+            // BT[j][k]: walk along a row, sequential.
+            MatMultVersion::Transposed => (BT_BASE, ELEM, stride_b),
+        };
+        MultiplyEmitter {
+            n,
+            stride_b,
+            b_base,
+            b_k_step,
+            b_j_step,
+            i: row_begin,
+            j: 0,
+            k: 0,
+            step: 0,
+            names: RegNames::new(),
+            acc: Reg(0),
+            a: Reg(0),
+            left: (row_end - row_begin) * n * (4 * n + 1),
         }
-        tb.finish()
     }
 
     /// Emits the transposition pass `BT[j][k] = B[k][j]` (only meaningful
     /// for [`MatMultVersion::Transposed`]; the paper includes it in the
     /// runtime).
     pub fn transpose_trace(&self) -> Trace {
-        let mut tb = TraceBuilder::new();
-        let stride_b = self.stride as u64 * ELEM;
-        for j in 0..self.n {
-            for k in 0..self.n {
-                let v = tb.load(B_BASE + k as u64 * stride_b + j as u64 * ELEM, 8);
-                tb.store(v, BT_BASE + j as u64 * stride_b + k as u64 * ELEM, 8);
-                tb.branch(0x200, k + 1 != self.n, None);
-            }
+        self.emit_transpose(0, self.transpose_len()).collect()
+    }
+
+    /// Instructions in the whole transposition pass (three per element).
+    pub fn transpose_len(&self) -> usize {
+        3 * self.n * self.n
+    }
+
+    /// Streams instructions `[begin, end)` of the transposition pass with
+    /// the register names they carry in [`MatMult::transpose_trace`]. A
+    /// split anywhere — mid-iteration included — yields two streams whose
+    /// concatenation is the whole pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is reversed or past [`MatMult::transpose_len`].
+    pub fn emit_transpose(&self, begin: usize, end: usize) -> TransposeEmitter {
+        assert!(
+            begin <= end && end <= self.transpose_len(),
+            "bad transpose range"
+        );
+        // Each (j, k) element is a load (naming one register), a store and
+        // a branch; resume inside the element holding instruction `begin`.
+        let element = begin / 3;
+        let step = (begin % 3) as u8;
+        let mut names = RegNames::after(element as u64);
+        let v = if step == 0 { Reg(0) } else { names.fresh() };
+        TransposeEmitter {
+            n: self.n,
+            stride_b: self.stride as u64 * ELEM,
+            j: element / self.n,
+            k: element % self.n,
+            step,
+            names,
+            v,
+            left: end - begin,
         }
-        tb.finish()
     }
 
     /// Functional reference multiply used to validate the kernel shape in
@@ -169,6 +208,147 @@ impl MatMult {
             }
         }
         sum
+    }
+}
+
+/// Lazy multiply-loop emitter (see [`MatMult::emit_rows`]).
+///
+/// Per `(i, j)`: name the accumulator, then per `k` load `A[i][k]`, load
+/// the `B` operand, `fmadd` into the accumulator and branch back; finally
+/// store `C[i][j]`.
+#[derive(Clone, Debug)]
+pub struct MultiplyEmitter {
+    n: usize,
+    stride_b: u64,
+    b_base: u64,
+    b_k_step: u64,
+    b_j_step: u64,
+    i: usize,
+    j: usize,
+    k: usize,
+    /// Next instruction of the `k` body: 0 load A, 1 load B, 2 fmadd,
+    /// 3 branch; 4 is the store closing the `j` iteration.
+    step: u8,
+    names: RegNames,
+    acc: Reg,
+    a: Reg,
+    left: usize,
+}
+
+impl Iterator for MultiplyEmitter {
+    type Item = Instr;
+
+    fn next(&mut self) -> Option<Instr> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (i, j, k) = (self.i as u64, self.j as u64, self.k as u64);
+        Some(match self.step {
+            0 => {
+                if self.k == 0 {
+                    self.acc = self.names.fresh();
+                }
+                self.a = self.names.fresh();
+                self.step = 1;
+                let addr = A_BASE + i * self.stride_b + k * ELEM;
+                Instr::load(self.a, VAddr(addr), 8, None)
+            }
+            1 => {
+                self.step = 2;
+                let addr = self.b_base + k * self.b_k_step + j * self.b_j_step;
+                Instr::load(self.names.fresh(), VAddr(addr), 8, None)
+            }
+            2 => {
+                // The multiplier operand folds into the unit occupancy;
+                // the accumulate dependence rides on src2.
+                let dst = self.names.fresh();
+                let fmadd = Instr::alu(OpClass::FpMadd, Some(dst), Some(self.a), Some(self.acc));
+                self.acc = dst;
+                self.step = 3;
+                fmadd
+            }
+            3 => {
+                // Loop control, well predicted except the last trip.
+                self.k += 1;
+                let taken = self.k != self.n;
+                self.step = if taken { 0 } else { 4 };
+                Instr::branch_at(0x100, taken, None)
+            }
+            _ => {
+                self.k = 0;
+                self.j += 1;
+                if self.j == self.n {
+                    self.j = 0;
+                    self.i += 1;
+                }
+                self.step = 0;
+                let addr = C_BASE + i * self.stride_b + j * ELEM;
+                Instr::store(self.acc, VAddr(addr), 8)
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Lazy transposition-pass emitter (see [`MatMult::emit_transpose`]).
+///
+/// Per `(j, k)`: load `B[k][j]`, store it to `BT[j][k]`, branch back.
+#[derive(Clone, Debug)]
+pub struct TransposeEmitter {
+    n: usize,
+    stride_b: u64,
+    j: usize,
+    k: usize,
+    /// Next instruction of the element: 0 load, 1 store, 2 branch.
+    step: u8,
+    names: RegNames,
+    v: Reg,
+    left: usize,
+}
+
+impl Iterator for TransposeEmitter {
+    type Item = Instr;
+
+    fn next(&mut self) -> Option<Instr> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (j, k) = (self.j as u64, self.k as u64);
+        Some(match self.step {
+            0 => {
+                self.v = self.names.fresh();
+                self.step = 1;
+                Instr::load(
+                    self.v,
+                    VAddr(B_BASE + k * self.stride_b + j * ELEM),
+                    8,
+                    None,
+                )
+            }
+            1 => {
+                self.step = 2;
+                Instr::store(self.v, VAddr(BT_BASE + j * self.stride_b + k * ELEM), 8)
+            }
+            _ => {
+                self.k += 1;
+                let taken = self.k != self.n;
+                if !taken {
+                    self.k = 0;
+                    self.j += 1;
+                }
+                self.step = 0;
+                Instr::branch_at(0x200, taken, None)
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 

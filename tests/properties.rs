@@ -1491,3 +1491,203 @@ fn resilient_repair_restores_clean_behaviour() {
         "no suspects may outlive the clean rerun"
     );
 }
+
+// ---------------------------------------------------------------------
+// Streamed MatMult traces: every lazy emitter yields exactly what the
+// builder-made loop nest yields, instruction for instruction, register
+// names included, and the engine cannot tell a streamed lane from a
+// materialised one.
+// ---------------------------------------------------------------------
+
+use powermanna::cpu::run_smp_at;
+use powermanna::isa::TraceBuilder;
+use powermanna::workloads::{BlockedMatMult, MatMult, MatMultVersion};
+
+/// Independent oracle: the multiply nest written against `TraceBuilder`.
+fn reference_rows(n: usize, version: MatMultVersion, rows: std::ops::Range<usize>) -> Trace {
+    let stride_b = MatMult::new(n, version).stride() as u64 * 8;
+    let mut tb = TraceBuilder::new();
+    for i in rows {
+        for j in 0..n {
+            let mut acc = tb.reg();
+            for k in 0..n {
+                let a = tb.load(0x1000_0000 + i as u64 * stride_b + k as u64 * 8, 8);
+                let b = match version {
+                    MatMultVersion::Naive => {
+                        tb.load(0x2001_0000 + k as u64 * stride_b + j as u64 * 8, 8)
+                    }
+                    MatMultVersion::Transposed => {
+                        tb.load(0x3002_0000 + j as u64 * stride_b + k as u64 * 8, 8)
+                    }
+                };
+                acc = tb.fmadd(a, b, acc);
+                tb.branch(0x100, k + 1 != n, None);
+            }
+            tb.store(acc, 0x4003_0000 + i as u64 * stride_b + j as u64 * 8, 8);
+        }
+    }
+    tb.finish()
+}
+
+/// Independent oracle: the transposition pass written against `TraceBuilder`.
+fn reference_transpose(n: usize) -> Trace {
+    let stride_b = MatMult::new(n, MatMultVersion::Transposed).stride() as u64 * 8;
+    let mut tb = TraceBuilder::new();
+    for j in 0..n {
+        for k in 0..n {
+            let v = tb.load(0x2001_0000 + k as u64 * stride_b + j as u64 * 8, 8);
+            tb.store(v, 0x3002_0000 + j as u64 * stride_b + k as u64 * 8, 8);
+            tb.branch(0x200, k + 1 != n, None);
+        }
+    }
+    tb.finish()
+}
+
+/// Independent oracle: the tiled nest written against `TraceBuilder`.
+fn reference_block_rows(n: usize, t: usize, blocks: std::ops::Range<usize>) -> Trace {
+    let stride_b = (if n % 2 == 1 { n } else { n + 1 }) as u64 * 8;
+    let mut tb = TraceBuilder::new();
+    for bi in blocks {
+        for jj in (0..n).step_by(t) {
+            for kk in (0..n).step_by(t) {
+                for i in bi * t..(bi + 1) * t {
+                    let a_row = 0x1000_0000 + i as u64 * stride_b;
+                    let c_row = 0x4003_0000 + i as u64 * stride_b;
+                    for j in jj..jj + t {
+                        let mut acc = tb.load(c_row + j as u64 * 8, 8);
+                        for k in kk..kk + t {
+                            let a = tb.load(a_row + k as u64 * 8, 8);
+                            let b = tb.load(0x2001_0000 + k as u64 * stride_b + j as u64 * 8, 8);
+                            acc = tb.fmadd(a, b, acc);
+                            tb.branch(0x300, k + 1 != kk + t, None);
+                        }
+                        tb.store(acc, c_row + j as u64 * 8, 8);
+                    }
+                }
+            }
+        }
+    }
+    tb.finish()
+}
+
+fn version_of(rng: &mut SimRng) -> MatMultVersion {
+    if rng.gen_bool(0.5) {
+        MatMultVersion::Naive
+    } else {
+        MatMultVersion::Transposed
+    }
+}
+
+/// Multiply rows: emitter == `trace_rows` == the builder oracle, for odd
+/// and even N and random row ranges (N = 40 rows name > 4096 registers,
+/// so the wrap is covered).
+#[test]
+fn matmult_row_emitter_matches_the_trace() {
+    let mut rng = cases(50);
+    for _ in 0..48 {
+        let n = rng.gen_range(1, 41) as usize;
+        let version = version_of(&mut rng);
+        let begin = rng.gen_range(0, n as u64) as usize;
+        let end = rng.gen_range(begin as u64 + 1, n as u64 + 1) as usize;
+        let kernel = MatMult::new(n, version);
+        let streamed: Vec<Instr> = kernel.emit_rows(begin, end).collect();
+        let oracle = reference_rows(n, version, begin..end);
+        assert_eq!(
+            streamed.as_slice(),
+            oracle.instrs(),
+            "N={n} {version:?} rows {begin}..{end}"
+        );
+        assert_eq!(kernel.trace_rows(begin, end), oracle);
+    }
+}
+
+/// Transposition: the whole pass, its two `len/2` halves and any other
+/// split concatenate to the builder oracle — odd N splits mid-element,
+/// and N = 70 (4900 elements) resumes past the register-name wrap.
+#[test]
+fn matmult_transpose_emitter_splits_anywhere() {
+    let mut rng = cases(51);
+    for case in 0..48 {
+        let n = if case == 0 {
+            70
+        } else {
+            rng.gen_range(1, 41) as usize
+        };
+        let kernel = MatMult::new(n, MatMultVersion::Transposed);
+        let oracle = reference_transpose(n);
+        let len = kernel.transpose_len();
+        assert_eq!(len, oracle.len());
+        assert_eq!(kernel.transpose_trace(), oracle);
+        let random_mid = rng.gen_range(0, len as u64 + 1) as usize;
+        for mid in [len / 2, random_mid] {
+            let mut joined: Vec<Instr> = kernel.emit_transpose(0, mid).collect();
+            joined.extend(kernel.emit_transpose(mid, len));
+            assert_eq!(joined.as_slice(), oracle.instrs(), "N={n} split at {mid}");
+        }
+    }
+}
+
+/// Tiled multiply: emitter == `trace_block_rows` == the builder oracle
+/// over random tiles dividing N and random block-row ranges.
+#[test]
+fn blocked_emitter_matches_the_trace() {
+    let mut rng = cases(52);
+    for _ in 0..48 {
+        let n = rng.gen_range(1, 41) as usize;
+        let tiles: Vec<usize> = (1..=n).filter(|&t| n.is_multiple_of(t)).collect();
+        let tile = tiles[rng.gen_range(0, tiles.len() as u64) as usize];
+        let kernel = BlockedMatMult::new(n, tile);
+        let blocks = kernel.block_rows();
+        let begin = rng.gen_range(0, blocks as u64) as usize;
+        let end = rng.gen_range(begin as u64 + 1, blocks as u64 + 1) as usize;
+        let streamed: Vec<Instr> = kernel.emit_block_rows(begin, end).collect();
+        let oracle = reference_block_rows(n, tile, begin..end);
+        assert_eq!(
+            streamed.as_slice(),
+            oracle.instrs(),
+            "N={n} T={tile} blocks {begin}..{end}"
+        );
+        assert_eq!(kernel.trace_block_rows(begin, end), oracle);
+    }
+}
+
+/// `run_smp_at` over emitter lanes returns the same `RunResult`s as the
+/// same lanes passed as materialised traces — the dual MatMult's row
+/// split (empty first lane at N = 1 included) and its transpose halves.
+#[test]
+fn smp_streamed_lanes_match_materialised_lanes() {
+    let mut rng = cases(53);
+    let configs = [CpuConfig::mpc620(), CpuConfig::mpc620()];
+    for _ in 0..12 {
+        let n = rng.gen_range(1, 25) as usize;
+        let kernel = MatMult::new(n, version_of(&mut rng));
+        let start = Time::from_ps(rng.gen_range(0, 1_000_000));
+        let half = n / 2;
+        let (len, mid) = (kernel.transpose_len(), kernel.transpose_len() / 2);
+
+        let mut mem = MemorySystem::new(HierarchyConfig::mpc620_node(2));
+        let rows = vec![kernel.emit_rows(0, half), kernel.emit_rows(half, n)];
+        let streamed_rows = run_smp_at(&configs, rows, &mut mem, start);
+        let halves = vec![
+            kernel.emit_transpose(0, mid),
+            kernel.emit_transpose(mid, len),
+        ];
+        let streamed_pass = run_smp_at(&configs, halves, &mut mem, start);
+
+        let mut mem = MemorySystem::new(HierarchyConfig::mpc620_node(2));
+        let rows: Vec<Trace> = vec![
+            kernel.emit_rows(0, half).collect(),
+            kernel.emit_rows(half, n).collect(),
+        ];
+        let built_rows = run_smp_at(&configs, rows, &mut mem, start);
+        let pass = kernel.transpose_trace();
+        let halves: Vec<Trace> = vec![
+            pass.iter().take(mid).copied().collect(),
+            pass.iter().skip(mid).copied().collect(),
+        ];
+        let built_pass = run_smp_at(&configs, halves, &mut mem, start);
+
+        assert_eq!(streamed_rows, built_rows, "N={n} rows");
+        assert_eq!(streamed_pass, built_pass, "N={n} transpose");
+    }
+}
