@@ -34,75 +34,30 @@ echo "== pmbench unit tests =="
 # matches the streamed measure path bit for bit.
 cargo test --offline --manifest-path pmbench/Cargo.toml
 
-echo "== MatMult golden (quick Fig 7/8 + X9 tiling) =="
-# The quick MatMult curves cover both the full-simulation (N <= 96) and
-# the row-sampled paths of matmultrun: the kernels' instruction streams,
-# the cycle engine, the memory hierarchy and the dual-CPU interleaving.
-# Regenerate an intentional change with:
-#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
-#     fig7a fig7b fig8a fig8b tiling > tests/goldens/matmult_quick.csv
-cargo run --release -p pm-bench --bin figures -- --quick --csv \
-  fig7a fig7b fig8a fig8b tiling > target/matmult_quick.csv
-diff -u tests/goldens/matmult_quick.csv target/matmult_quick.csv
-
-echo "== connection-model goldens (quick X5/X6) =="
-# The network/mesh connection models feed the X5/X6 artifacts; any
-# timing change in open/transfer/close or the stop-wire composition
-# shows up here as a CSV diff against the committed goldens. To accept
-# an intentional change, regenerate with:
-#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
-#     blocking mesh_vs_xbar > tests/goldens/x5_x6_quick.csv
-cargo run --release -p pm-bench --bin figures -- --quick --csv \
-  blocking mesh_vs_xbar > target/x5_x6_quick.csv
-diff -u tests/goldens/x5_x6_quick.csv target/x5_x6_quick.csv
-
-echo "== fault-injection golden (quick X8) =="
-# The X8 degradation curve pins the whole fault layer: the seeded
-# FaultPlan schedule, the transient-injector decision stream, the
-# retransmission/backoff timing and the plane-failover path. Regenerate
-# an intentional change with:
-#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
-#     faults > tests/goldens/x8_quick.csv
-cargo run --release -p pm-bench --bin figures -- --quick --csv \
-  faults > target/x8_quick.csv
-diff -u tests/goldens/x8_quick.csv target/x8_quick.csv
-
-echo "== traffic-collapse golden (quick X12) =="
-# The X12 collapse curves pin the whole heavy-traffic stack: the seeded
-# multi-tenant generator streams, the scenario driver's queue/deadline
-# accounting, and the contention the Network/Mesh fabrics resolve under
-# saturation — serial and par_sweep runs must both match. Regenerate an
+echo "== quick CSV goldens =="
+# One golden per line: the file under tests/goldens/, then the experiment
+# ids that produce it. Together they pin the MatMult kernels, cycle engine
+# and memory hierarchy (Fig 7/8, X9 tiling), the connection and stop-wire
+# models (X5/X6), the fault layer (X8), the heavy-traffic stack (X12),
+# the RouteSim wormhole model and route policies (X13), and the
+# self-healing layer under both failover modes (X14). Regenerate an
 # intentional change with:
 #   cargo run --release -p pm-bench --bin figures -- --quick --csv \
-#     traffic > tests/goldens/x12_quick.csv
-cargo run --release -p pm-bench --bin figures -- --quick --csv \
-  traffic > target/x12_quick.csv
-diff -u tests/goldens/x12_quick.csv target/x12_quick.csv
-
-echo "== hierarchy golden (quick X13) =="
-# The X13 curves pin the 1024-node hierarchical topology, the
-# multi-crossbar RouteSim wormhole model (blocking, waiter wake-up,
-# adaptive vs oblivious path choice) and the 8x8 mesh reference — any
-# timing or policy drift shows up as a CSV diff. Regenerate an
-# intentional change with:
-#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
-#     hierarchy > tests/goldens/x13_quick.csv
-cargo run --release -p pm-bench --bin figures -- --quick --csv \
-  hierarchy > target/x13_quick.csv
-diff -u tests/goldens/x13_quick.csv target/x13_quick.csv
-
-echo "== resilience golden (quick X14) =="
-# The X14 campaign curves pin the whole self-healing layer: the seeded
-# fault campaigns (transient stream, link-death roll, repair schedule),
-# the health-table learning and quarantine windows, the jittered
-# retransmission backoff and the watchdog's recovery decisions, under
-# both oracle and detected failover. Regenerate an intentional change
-# with:
-#   cargo run --release -p pm-bench --bin figures -- --quick --csv \
-#     resilience > tests/goldens/x14_quick.csv
-cargo run --release -p pm-bench --bin figures -- --quick --csv \
-  resilience > target/x14_quick.csv
-diff -u tests/goldens/x14_quick.csv target/x14_quick.csv
+#     <ids> > tests/goldens/<golden>.csv
+while read -r golden ids; do
+  echo "-- $golden: $ids"
+  # $ids is unquoted on purpose: one argument per experiment id.
+  cargo run --release -p pm-bench --bin figures -- --quick --csv $ids \
+    < /dev/null > "target/$golden.csv"
+  diff -u "tests/goldens/$golden.csv" "target/$golden.csv"
+done <<'GOLDENS'
+matmult_quick fig7a fig7b fig8a fig8b tiling
+x5_x6_quick blocking mesh_vs_xbar
+x8_quick faults
+x12_quick traffic
+x13_quick hierarchy
+x14_quick resilience
+GOLDENS
 
 echo "== observability golden (quick metrics registry) =="
 # The --metrics collection drives one deterministic scenario through
@@ -113,5 +68,14 @@ echo "== observability golden (quick metrics registry) =="
 #     > /dev/null && cp out/metrics.csv tests/goldens/metrics_quick.csv
 cargo run --release -p pm-bench --bin figures -- --metrics --quick > /dev/null
 diff -u tests/goldens/metrics_quick.csv out/metrics.csv
+
+echo "== pmbench route digests (seed 1) =="
+# Every RouteSim::run and run_resilient output of the 1024-node network
+# workloads must match the digests in pmbench/pinned.txt; pmbench exits
+# non-zero on any mismatch. --seconds 0 runs the minimum passes.
+for workload in hier1024_clean hier1024_faults; do
+  cargo run --release --quiet --offline --manifest-path pmbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 0
+done
 
 echo "CI OK"

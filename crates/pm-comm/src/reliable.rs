@@ -24,88 +24,13 @@ use pm_net::fault::{FaultPlan, FaultPlanError, FaultStats, TransientInjector};
 use pm_net::network::{Network, RouteError};
 use pm_net::outcome::TransferOutcome;
 use pm_net::topology::NodeId;
+pub use pm_net::RetryPolicy;
 use pm_node::ni::{NiConfig, CRC_TRAILER_BYTES};
 use pm_sim::time::{Duration, Time};
 
 /// An 8-byte NACK's worth of wire plus driver turnaround: the fixed
-/// part of every retransmission gap.
+/// part of every retransmission gap, added to the policy's backoff.
 const NACK_COST: Duration = Duration::from_us(1);
-
-/// How hard a sender tries before giving up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Wire transmissions per message, first attempt included.
-    pub max_attempts: u32,
-    /// Extra wait before the first retransmission; doubles per failure.
-    pub initial_backoff: Duration,
-    /// Upper bound the exponential backoff saturates at.
-    pub max_backoff: Duration,
-    /// `Some(seed)` jitters each backoff uniformly into
-    /// `[backoff/2, backoff]`, hashed from `(seed, message, attempt)`
-    /// — deterministic per sender, decorrelated across messages, so
-    /// senders knocked back by the same event do not retry in lockstep
-    /// (synchronized retry storms re-collide on the recovering
-    /// resource). `None` keeps the exact un-jittered gaps.
-    pub jitter: Option<u64>,
-}
-
-impl Default for RetryPolicy {
-    /// 16 attempts with 1 µs → 64 µs exponential backoff: even a wire
-    /// corrupting 90 % of transmissions delivers with probability
-    /// 1 − 0.9¹⁶ ≈ 0.81 per message, while a dead peer costs a bounded
-    /// ~0.6 ms before the typed error. Jitter is off by default (the
-    /// historical deterministic gaps).
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 16,
-            initial_backoff: Duration::from_us(1),
-            max_backoff: Duration::from_us(64),
-            jitter: None,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait inserted after failed attempt number `attempt` (1-based)
-    /// before the next transmission: NACK turnaround plus capped
-    /// exponential backoff.
-    fn gap_after(&self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(32);
-        let backoff = Duration::from_ps(
-            self.initial_backoff
-                .as_ps()
-                .saturating_mul(1u64 << doublings),
-        );
-        NACK_COST + backoff.min(self.max_backoff)
-    }
-
-    /// [`gap_after`](Self::gap_after), decorrelated per message when
-    /// jitter is enabled: `salt` identifies the message (any stable
-    /// per-message counter), and the backoff component is drawn
-    /// uniformly from `[backoff/2, backoff]` by a splitmix64 hash of
-    /// `(jitter_seed, salt, attempt)`. With `jitter: None` this is
-    /// exactly `gap_after` — byte-stable with historical runs.
-    fn salted_gap_after(&self, salt: u64, attempt: u32) -> Duration {
-        let Some(seed) = self.jitter else {
-            return self.gap_after(attempt);
-        };
-        let full = self.gap_after(attempt).saturating_sub(NACK_COST).as_ps();
-        let lo = full / 2;
-        let span = full - lo + 1;
-        let h = splitmix64(
-            seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::from(attempt) << 48),
-        );
-        NACK_COST + Duration::from_ps(lo + h % span)
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mix.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Why a message could not be delivered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -275,7 +200,7 @@ impl ReliableChannel {
                 Err(RecvError::CrcMismatch) => {
                     self.stats.crc_failures += 1;
                     attempt_start =
-                        sent_at + self.policy.salted_gap_after(self.stats.sent, attempt);
+                        sent_at + NACK_COST + self.policy.gap_after(self.stats.sent, attempt);
                 }
                 Err(RecvError::Empty) => unreachable!("message was just sent"),
             }
@@ -457,7 +382,8 @@ impl ResilientNetwork {
                 Err(RouteError::PortHeld) => {
                     // Contention, not partition: back off like a NACK and
                     // burn an attempt waiting for the blocker to close.
-                    attempt_start += self.policy.salted_gap_after(self.stats.messages, attempt);
+                    attempt_start +=
+                        NACK_COST + self.policy.gap_after(self.stats.messages, attempt);
                     continue;
                 }
             };
@@ -484,7 +410,8 @@ impl ResilientNetwork {
                 self.stats.severed += 1;
                 msg_severed += 1;
                 attempt_start = death.max(attempt_start)
-                    + self.policy.salted_gap_after(self.stats.messages, attempt);
+                    + NACK_COST
+                    + self.policy.gap_after(self.stats.messages, attempt);
                 continue;
             }
             let mut wire_msg = msg.clone();
@@ -498,7 +425,7 @@ impl ResilientNetwork {
                 self.stats.crc_failures += 1;
                 msg_crc_failures += 1;
                 attempt_start =
-                    received_at + self.policy.salted_gap_after(self.stats.messages, attempt);
+                    received_at + NACK_COST + self.policy.gap_after(self.stats.messages, attempt);
                 continue;
             }
             self.stats.delivered_bytes += payload.len() as u64;
@@ -635,49 +562,6 @@ mod tests {
         }
         assert!(exhausted > 0, "99% corruption must exhaust 3 attempts");
         assert_eq!(ch.stats().exhausted, exhausted);
-    }
-
-    #[test]
-    fn backoff_gap_doubles_and_saturates() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.gap_after(1), NACK_COST + Duration::from_us(1));
-        assert_eq!(p.gap_after(2), NACK_COST + Duration::from_us(2));
-        assert_eq!(p.gap_after(5), NACK_COST + Duration::from_us(16));
-        assert_eq!(p.gap_after(12), NACK_COST + Duration::from_us(64));
-        assert_eq!(p.gap_after(40), NACK_COST + Duration::from_us(64));
-    }
-
-    #[test]
-    fn unjittered_policy_keeps_exact_historical_gaps() {
-        // `jitter: None` must be byte-stable with the pre-jitter gaps,
-        // whatever the salt — the goldens depend on it.
-        let p = RetryPolicy::default();
-        for attempt in 1..=40 {
-            for salt in [0u64, 1, 7, u64::MAX] {
-                assert_eq!(p.salted_gap_after(salt, attempt), p.gap_after(attempt));
-            }
-        }
-    }
-
-    #[test]
-    fn jittered_gaps_are_bounded_deterministic_and_decorrelated() {
-        let p = RetryPolicy {
-            jitter: Some(0xBEEF),
-            ..RetryPolicy::default()
-        };
-        for attempt in 1..=40u32 {
-            for salt in 0..64u64 {
-                let gap = p.salted_gap_after(salt, attempt);
-                assert_eq!(gap, p.salted_gap_after(salt, attempt), "deterministic");
-                let backoff = p.gap_after(attempt).saturating_sub(NACK_COST);
-                assert!(gap >= NACK_COST + Duration::from_ps(backoff.as_ps() / 2));
-                assert!(gap <= NACK_COST + backoff);
-            }
-        }
-        // Concurrent senders knocked back by the same failure must not
-        // retry in lockstep: distinct salts spread the gaps.
-        let gaps: Vec<Duration> = (0..32).map(|salt| p.salted_gap_after(salt, 5)).collect();
-        assert!(gaps.iter().any(|&g| g != gaps[0]));
     }
 
     #[test]

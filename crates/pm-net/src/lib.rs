@@ -22,6 +22,8 @@
 //!   repairs, driving the duplicated-network failover in [`network`],
 //!   the rerouting in [`mesh`], and the self-healing loop in
 //!   [`routesim`].
+//! * [`backoff`] — the capped exponential retry backoff, optionally
+//!   jittered, shared by every retransmitting layer.
 //! * [`health`] — per-source online link-health tables: quarantine
 //!   learned from failed opens and delivery timeouts only (no oracle),
 //!   escalating windows, re-probe and reinstatement.
@@ -40,6 +42,7 @@
 //! assert!(outcome.finished > Time::ZERO);
 //! ```
 
+pub mod backoff;
 pub mod crossbar;
 pub mod error;
 pub mod fault;
@@ -55,6 +58,7 @@ pub mod topology;
 pub mod transceiver;
 pub mod wire;
 
+pub use backoff::RetryPolicy;
 pub use crossbar::{Crossbar, CrossbarConfig};
 pub use error::NetError;
 pub use fault::{
@@ -67,8 +71,8 @@ pub use mesh::{Mesh, MeshConfig, MeshError};
 pub use network::{Connection, FailoverOutcome, Network, RouteBackpressure, RouteError};
 pub use outcome::{OutcomeHandles, TransferOutcome};
 pub use routesim::{
-    FailoverMode, ResilienceConfig, ResilienceStats, ResilientResult, RetransmitPolicy,
-    RoutePolicy, RouteSim, RouteSimResult, WatchdogConfig, Worm, WormOutcome,
+    FailoverMode, ResilienceConfig, ResilienceStats, ResilientResult, RoutePolicy, RouteSim,
+    RouteSimResult, WatchdogConfig, Worm, WormOutcome,
 };
 pub use stopwire::{RouteFlowStats, StallWindows, StopWireConfig, StopWireEngine, StopWireStats};
 pub use topology::{LinkKey, LinkKind, NodeId, Topology, XbarId};

@@ -41,7 +41,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod tracelog;
 
 pub use event::EventQueue;
 pub use metrics::{MetricId, MetricRegistry};
@@ -50,4 +49,3 @@ pub use resource::{PipelinedResource, Resource};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Series, Summary};
 pub use time::{Clock, Duration, Time};
-pub use tracelog::{Level, TraceLog};

@@ -43,7 +43,6 @@
 
 use crate::stats::{Counter, Histogram, Summary};
 use crate::time::Time;
-use crate::tracelog::{Level, TraceLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -177,13 +176,11 @@ impl Metric {
     }
 }
 
-/// The hierarchical registry: a dense metric store plus a path index
-/// and a composed [`TraceLog`] for structured annotations.
+/// The hierarchical registry: a dense metric store plus a path index.
 #[derive(Clone, Debug)]
 pub struct MetricRegistry {
     metrics: Vec<(String, Metric)>,
     index: BTreeMap<String, usize>,
-    trace: TraceLog,
 }
 
 impl Default for MetricRegistry {
@@ -193,12 +190,11 @@ impl Default for MetricRegistry {
 }
 
 impl MetricRegistry {
-    /// Creates an empty registry with a 4096-event info-level trace.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         MetricRegistry {
             metrics: Vec::new(),
             index: BTreeMap::new(),
-            trace: TraceLog::new(4096, Level::Info),
         }
     }
 
@@ -210,18 +206,6 @@ impl MetricRegistry {
     /// Whether nothing has been registered.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
-    }
-
-    /// The composed structured trace: registry users annotate state
-    /// transitions here ("plane 0 link died", "failover to plane 1") so
-    /// the numbers and the narrative live in one object.
-    pub fn trace(&mut self) -> &mut TraceLog {
-        &mut self.trace
-    }
-
-    /// Read-only view of the trace.
-    pub fn trace_ref(&self) -> &TraceLog {
-        &self.trace
     }
 
     fn register(&mut self, path: &str, make: impl FnOnce(&str) -> Metric) -> MetricId {
@@ -434,10 +418,6 @@ impl MetricRegistry {
                 indent = open.len() * 2
             );
         }
-        if !self.trace.is_empty() {
-            let _ = writeln!(out, "trace ({} events):", self.trace.len());
-            out.push_str(&self.trace.render());
-        }
         out
     }
 
@@ -553,17 +533,6 @@ mod tests {
         a.merge_counters(&b);
         assert_eq!(a.counter_value("x/events"), Some(7));
         assert_eq!(a.counter_value("y/other"), Some(1));
-    }
-
-    #[test]
-    fn trace_is_composed_into_the_tree() {
-        let mut reg = MetricRegistry::new();
-        reg.count("net/failovers", 1);
-        reg.trace()
-            .warn(Time::from_ps(1), "net", "plane 0 died, failing over");
-        let tree = reg.render_tree();
-        assert!(tree.contains("failovers: 1"));
-        assert!(tree.contains("plane 0 died"));
     }
 
     #[test]

@@ -594,3 +594,173 @@ fn metrics_collection_leaves_experiments_untouched() {
     let after = (exp.run)(true, &mut MetricRegistry::new()).to_csv();
     assert_eq!(baseline, after, "collection pass perturbed an experiment");
 }
+
+// --- RouteSim: the watchdog under load ----------------------------------
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of every per-worm outcome and every run-level number of a
+/// resilient run.
+fn resilient_digest(r: &powermanna::net::routesim::ResilientResult) -> u64 {
+    use powermanna::net::routesim::WormOutcome;
+    let mut h = Fnv::new();
+    for o in &r.outcomes {
+        match o {
+            WormOutcome::Delivered(d) => {
+                h.u64(d.finished.as_ps());
+                h.u64(u64::from(d.plane));
+                h.u64(u64::from(d.attempts));
+                h.u64(u64::from(d.crc_failures));
+                h.u64(u64::from(d.severed));
+                h.u64(u64::from(d.failed_over) | u64::from(d.rerouted) << 1);
+            }
+            WormOutcome::Dropped { attempts } => {
+                h.u64(u64::MAX);
+                h.u64(u64::from(*attempts));
+            }
+        }
+    }
+    h.u64(r.finished_at.as_ps());
+    h.u64(r.peak_inflight as u64);
+    h.u64(r.conflicts);
+    h.u64(r.detours);
+    let s = &r.stats;
+    for x in [
+        s.offered,
+        s.offered_bytes,
+        s.delivered,
+        s.delivered_bytes,
+        s.dropped,
+        s.dropped_bytes,
+        s.transmissions,
+        s.failed_opens,
+        s.severed,
+        s.corrupted,
+        s.link_downs,
+        s.repairs,
+        s.quarantines,
+        s.forced_reprobes,
+        s.reinstatements,
+        s.scans,
+        s.orphan_reclaims,
+        s.recoveries,
+    ] {
+        h.u64(x);
+    }
+    h.0
+}
+
+/// pmbench's campaigns never trip the watchdog, so this pins its victim
+/// choice and orphan reclaims under load: 4,000 Poisson worms at 1.6x
+/// the injection capacity of the 128-node system, with a scan every
+/// 50 us and a 100 us stall threshold, on a clean plan and on
+/// transients plus six link deaths with repairs, under both failover
+/// modes. The digests and counters were recorded before the watchdog
+/// scan was rewritten to visit only blocked worms.
+#[test]
+fn watchdog_under_load_matches_the_recorded_outcomes() {
+    use powermanna::net::fault::FaultPlan;
+    use powermanna::net::routesim::{
+        FailoverMode, ResilienceConfig, RouteSim, WatchdogConfig, Worm,
+    };
+    use powermanna::net::wire::WireConfig;
+    use powermanna::sim::time::Duration;
+    use powermanna::workloads::traffic::{TrafficConfig, TrafficGen, TrafficPattern};
+
+    let t = Topology::system256();
+    let nodes = t.nodes();
+    let capacity = nodes as f64 / WireConfig::synchronous().byte_time.as_secs_f64();
+    let gen = TrafficGen::new(TrafficConfig {
+        nodes: nodes as u32,
+        tenants: nodes as u32,
+        pattern: TrafficPattern::Poisson,
+        offered_bytes_per_s: 1.6 * capacity,
+        payload: 2048,
+        messages: 4000,
+        seed: 0x5747_4443,
+    });
+    let worms: Vec<Worm> = gen
+        .map(|m| Worm {
+            src: m.src as usize,
+            dst: m.dst as usize,
+            plane: 0,
+            payload: m.bytes as u32,
+            inject_at: m.at,
+        })
+        .collect();
+    let horizon = worms.last().expect("worms").inject_at;
+    let faulted = FaultPlan::clean(0x5747)
+        .with_transient_rate(0.03)
+        .expect("rate is a probability")
+        .random_link_downs(&t, 6, Duration::from_ps(horizon.as_ps() * 3 / 5))
+        .repair_all_after(Duration::from_us(300));
+    let mut sim = RouteSim::new(&t);
+    let mut got = Vec::new();
+    for (name, plan) in [("clean", FaultPlan::clean(0x5747)), ("faulted", faulted)] {
+        for failover in [FailoverMode::Oracle, FailoverMode::Detected] {
+            let cfg = ResilienceConfig {
+                failover,
+                watchdog: WatchdogConfig {
+                    scan_period: Duration::from_us(50),
+                    stall_threshold: Duration::from_us(100),
+                },
+                ..ResilienceConfig::default()
+            };
+            let r = sim.run_resilient(&worms, &plan, &cfg).expect("plan valid");
+            let s = r.stats;
+            got.push((
+                format!("{name}/{failover:?}"),
+                format!("{:016x}", resilient_digest(&r)),
+                [
+                    s.recoveries,
+                    s.orphan_reclaims,
+                    s.delivered,
+                    s.transmissions,
+                    s.scans,
+                ],
+            ));
+        }
+    }
+    // (run, digest, [recoveries, orphan reclaims, delivered,
+    // transmissions, scans]), recorded before the scan rewrite.
+    let want: [(&str, &str, [u64; 5]); 4] = [
+        ("clean/Oracle", "8b16fcd52afce3c8", [36, 0, 4000, 4036, 56]),
+        (
+            "clean/Detected",
+            "8b16fcd52afce3c8",
+            [36, 0, 4000, 4036, 56],
+        ),
+        (
+            "faulted/Oracle",
+            "7c5600c4f61e8fb9",
+            [41, 6, 4000, 4177, 62],
+        ),
+        (
+            "faulted/Detected",
+            "36b319b478db3dce",
+            [41, 3, 4000, 4219, 64],
+        ),
+    ];
+    for (name, digest, counters) in &got {
+        eprintln!("(\"{name}\", \"{digest}\", {counters:?}),");
+    }
+    for ((name, digest, counters), (wname, wdigest, wcounters)) in got.iter().zip(want) {
+        assert_eq!(name, wname);
+        assert_eq!(counters, &wcounters, "{name}");
+        assert_eq!(digest, wdigest, "{name}");
+    }
+}
