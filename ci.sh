@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs =="
+# Deleting or renaming a public item leaves dangling intra-doc links;
+# rustdoc reports them (and links to private items) as warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== build (release) =="
 cargo build --workspace --release
 

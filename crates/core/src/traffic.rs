@@ -636,9 +636,10 @@ const X12_SERIES: [&str; 3] = [
     "cluster8 crossbar + faults under load",
 ];
 
-/// The scenario behind one X12 point. `series` indexes [`X12_SERIES`];
-/// `load_idx` picks the seed so every point has its own deterministic
-/// stream.
+/// The scenario behind one X12 point. `series` picks the X12 series in
+/// figure order (0: cluster8 crossbar, 1: 4x4 mesh, 2: cluster8
+/// crossbar with faults under load); `load_idx` picks the seed so every
+/// point has its own deterministic stream.
 pub fn x12_scenario(series: usize, load: f64, load_idx: usize, quick: bool) -> ScenarioConfig {
     let (base_messages, tenants): (u32, u32) = if quick {
         (8_000, 1024)

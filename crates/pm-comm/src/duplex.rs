@@ -19,16 +19,6 @@ pub enum Side {
     B,
 }
 
-impl Side {
-    /// The opposite side.
-    pub fn peer(self) -> Side {
-        match self {
-            Side::A => Side::B,
-            Side::B => Side::A,
-        }
-    }
-}
-
 /// A message with payload and checksum.
 ///
 /// # Examples
@@ -283,12 +273,6 @@ mod tests {
             assert_eq!(m.payload()[0], i);
             rt = nt;
         }
-    }
-
-    #[test]
-    fn side_peer_flips() {
-        assert_eq!(Side::A.peer(), Side::B);
-        assert_eq!(Side::B.peer(), Side::A);
     }
 
     #[test]

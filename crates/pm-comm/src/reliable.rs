@@ -3,29 +3,25 @@
 //! §3.3: the link-interface ASIC's CRC ensures "that communication is not
 //! only efficient but also reliable". Reliability needs the *detection*
 //! (CRC, modelled in [`crate::duplex`] and [`pm_node::crc`]) and the
-//! *recovery*, which this module supplies at two scales:
-//!
-//! * [`ReliableChannel`] — stop-and-wait retransmission over a single
-//!   duplex channel, with injected wire bit errors. Attempts are capped
-//!   ([`RetryPolicy`]) and failures are typed ([`DeliveryError`]) — a
-//!   hopeless wire returns an error instead of spinning forever.
-//! * [`ResilientNetwork`] — the same contract over multi-hop
-//!   [`pm_net::Network`] routes driven by a seeded
-//!   [`pm_net::fault::FaultPlan`]: tier 1 retransmits CRC-failed
-//!   messages with exponential backoff, tier 2 fails over to the
-//!   secondary duplicated-network plane when a link death partitions the
-//!   preferred one (240→120 MB/s degradation), and the [`FaultStats`]
-//!   ledger records what each tier absorbed.
+//! *recovery*, which [`ResilientNetwork`] supplies over multi-hop
+//! [`pm_net::Network`] routes driven by a seeded
+//! [`pm_net::fault::FaultPlan`]: tier 1 retransmits CRC-failed messages
+//! with exponential backoff, tier 2 fails over to the secondary
+//! duplicated-network plane when a link death partitions the preferred
+//! one (240→120 MB/s degradation), and the [`FaultStats`] ledger records
+//! what each tier absorbed. Attempts are capped ([`RetryPolicy`]) and
+//! failures are typed ([`DeliveryError`]): a hopeless route returns an
+//! error instead of spinning forever.
 
 use crate::config::CommConfig;
-use crate::duplex::{DuplexChannel, Message, RecvError, Side};
+use crate::duplex::Message;
 use pm_net::error::NetError;
-use pm_net::fault::{FaultPlan, FaultPlanError, FaultStats, TransientInjector};
+use pm_net::fault::{FaultPlan, FaultStats, TransientInjector};
 use pm_net::network::{Network, RouteError};
 use pm_net::outcome::TransferOutcome;
 use pm_net::topology::NodeId;
 pub use pm_net::RetryPolicy;
-use pm_node::ni::{NiConfig, CRC_TRAILER_BYTES};
+use pm_node::ni::CRC_TRAILER_BYTES;
 use pm_sim::time::{Duration, Time};
 
 /// An 8-byte NACK's worth of wire plus driver turnaround: the fixed
@@ -77,138 +73,6 @@ impl From<DeliveryError> for NetError {
             }
             DeliveryError::Unreachable { src, dst } => NetError::Unreachable { src, dst },
         }
-    }
-}
-
-/// Per-message delivery statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReliabilityStats {
-    /// Messages handed to `send`.
-    pub sent: u64,
-    /// Wire transmissions (sends + retransmissions).
-    pub transmissions: u64,
-    /// CRC failures detected at the receiver.
-    pub crc_failures: u64,
-    /// Messages abandoned after the attempt cap.
-    pub exhausted: u64,
-}
-
-/// A duplex channel with injected bit errors and stop-and-wait
-/// retransmission.
-///
-/// # Examples
-///
-/// ```
-/// use pm_comm::duplex::{Message, Side};
-/// use pm_comm::reliable::ReliableChannel;
-/// use pm_node::ni::NiConfig;
-/// use pm_sim::time::Time;
-///
-/// // One in five messages corrupted: everything still arrives intact.
-/// let mut ch = ReliableChannel::new(NiConfig::powermanna(), 0.2, 42).unwrap();
-/// let (at, msg) = ch
-///     .send_reliably(Side::A, Time::ZERO, Message::new(vec![7; 32]))
-///     .unwrap();
-/// assert_eq!(msg.payload(), &[7; 32]);
-/// assert!(at > Time::ZERO);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ReliableChannel {
-    channel: DuplexChannel,
-    injector: TransientInjector,
-    policy: RetryPolicy,
-    stats: ReliabilityStats,
-}
-
-impl ReliableChannel {
-    /// Creates a channel whose wire corrupts each transmission with
-    /// probability `error_rate`, under the default [`RetryPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultPlanError::InvalidRate`] unless `0 <= error_rate < 1` — a
-    /// wire that corrupts everything can never deliver, and silently
-    /// clamping would hide the configuration bug.
-    pub fn new(config: NiConfig, error_rate: f64, seed: u64) -> Result<Self, FaultPlanError> {
-        let plan = FaultPlan::clean(seed).with_transient_rate(error_rate)?;
-        Ok(ReliableChannel {
-            channel: DuplexChannel::new(config),
-            injector: TransientInjector::new(&plan),
-            policy: RetryPolicy::default(),
-            stats: ReliabilityStats::default(),
-        })
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        assert!(policy.max_attempts > 0, "need at least one attempt");
-        self.policy = policy;
-        self
-    }
-
-    /// The injected error rate.
-    pub fn error_rate(&self) -> f64 {
-        self.injector.rate()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> ReliabilityStats {
-        self.stats
-    }
-
-    /// Publishes the channel's counters under `prefix`:
-    /// `{prefix}/sent`, `{prefix}/transmissions`,
-    /// `{prefix}/crc_failures` and `{prefix}/exhausted`.
-    pub fn publish_metrics(&self, reg: &mut pm_sim::metrics::MetricRegistry, prefix: &str) {
-        reg.count(&format!("{prefix}/sent"), self.stats.sent);
-        reg.count(&format!("{prefix}/transmissions"), self.stats.transmissions);
-        reg.count(&format!("{prefix}/crc_failures"), self.stats.crc_failures);
-        reg.count(&format!("{prefix}/exhausted"), self.stats.exhausted);
-    }
-
-    /// Sends `msg` from `from` at `t` and drives the exchange until the
-    /// peer holds an intact copy, retransmitting on CRC failure up to
-    /// the policy's attempt cap with exponential backoff. Returns the
-    /// delivery completion time and the verified message.
-    ///
-    /// Stop-and-wait: the simulated sender learns of a failure when the
-    /// receiver's check fails (the NACK travel time and backoff are
-    /// folded into the next attempt's start).
-    ///
-    /// # Errors
-    ///
-    /// [`DeliveryError::AttemptsExhausted`] when the cap runs out.
-    pub fn send_reliably(
-        &mut self,
-        from: Side,
-        t: Time,
-        msg: Message,
-    ) -> Result<(Time, Message), DeliveryError> {
-        self.stats.sent += 1;
-        let mut attempt_start = t;
-        for attempt in 1..=self.policy.max_attempts {
-            self.stats.transmissions += 1;
-            let mut wire_msg = msg.clone();
-            if let Some((byte, bit)) = self.injector.draw(wire_msg.len()) {
-                // Flip one pseudo-random payload bit in flight, after
-                // the sending ASIC computed the CRC.
-                wire_msg.corrupt_bit(byte, bit);
-            }
-            let sent_at = self.channel.send(from, attempt_start, wire_msg);
-            match self.channel.recv(from.peer(), sent_at) {
-                Ok((done, delivered)) => return Ok((done, delivered)),
-                Err(RecvError::CrcMismatch) => {
-                    self.stats.crc_failures += 1;
-                    attempt_start =
-                        sent_at + NACK_COST + self.policy.gap_after(self.stats.sent, attempt);
-                }
-                Err(RecvError::Empty) => unreachable!("message was just sent"),
-            }
-        }
-        self.stats.exhausted += 1;
-        Err(DeliveryError::AttemptsExhausted {
-            attempts: self.policy.max_attempts,
-        })
     }
 }
 
@@ -455,116 +319,6 @@ mod tests {
     use pm_net::topology::Topology;
 
     #[test]
-    fn error_free_channel_never_retransmits() {
-        let mut ch = ReliableChannel::new(NiConfig::powermanna(), 0.0, 1).unwrap();
-        for i in 0..20u8 {
-            let (_, m) = ch
-                .send_reliably(Side::A, Time::ZERO, Message::new(vec![i; 16]))
-                .unwrap();
-            assert_eq!(m.payload()[0], i);
-        }
-        assert_eq!(ch.stats().transmissions, 20);
-        assert_eq!(ch.stats().crc_failures, 0);
-    }
-
-    #[test]
-    fn lossy_channel_retransmits_until_clean() {
-        let mut ch = ReliableChannel::new(NiConfig::powermanna(), 0.5, 7).unwrap();
-        let mut last = Time::ZERO;
-        for i in 0..50u8 {
-            let (at, m) = ch
-                .send_reliably(Side::A, last, Message::new(vec![i; 64]))
-                .unwrap();
-            assert_eq!(m.payload(), &[i; 64], "message {i} corrupted through");
-            assert!(m.verify());
-            last = at;
-        }
-        let s = ch.stats();
-        assert_eq!(s.sent, 50);
-        assert!(
-            s.crc_failures > 10,
-            "50% loss should trigger retries: {s:?}"
-        );
-        assert_eq!(s.transmissions, s.sent + s.crc_failures);
-        assert_eq!(s.exhausted, 0);
-    }
-
-    #[test]
-    fn throughput_degrades_with_error_rate() {
-        let run = |rate: f64| -> f64 {
-            let mut ch = ReliableChannel::new(NiConfig::powermanna(), rate, 3).unwrap();
-            let mut t = Time::ZERO;
-            let n = 64;
-            for i in 0..n {
-                let (at, _) = ch
-                    .send_reliably(Side::A, t, Message::new(vec![i as u8; 128]))
-                    .unwrap();
-                t = at;
-            }
-            (n as u64 * 128) as f64 / t.as_secs_f64() / 1e6
-        };
-        let clean = run(0.0);
-        let noisy = run(0.4);
-        assert!(
-            noisy < clean * 0.85,
-            "errors must cost bandwidth: clean {clean:.1} vs noisy {noisy:.1} MB/s"
-        );
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let run = || {
-            let mut ch = ReliableChannel::new(NiConfig::powermanna(), 0.3, 99).unwrap();
-            let mut t = Time::ZERO;
-            for i in 0..10u8 {
-                let (at, _) = ch
-                    .send_reliably(Side::B, t, Message::new(vec![i; 32]))
-                    .unwrap();
-                t = at;
-            }
-            (t, ch.stats())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn out_of_range_rates_are_rejected() {
-        for bad in [-0.5, 1.0, 2.0, f64::NAN] {
-            assert!(
-                ReliableChannel::new(NiConfig::powermanna(), bad, 0).is_err(),
-                "rate {bad} must be a constructor error, not a clamp"
-            );
-        }
-        // 0.95 used to be the silent clamp point; it is simply valid now.
-        assert!(ReliableChannel::new(NiConfig::powermanna(), 0.95, 0).is_ok());
-    }
-
-    #[test]
-    fn attempt_cap_is_a_typed_error() {
-        let mut ch = ReliableChannel::new(NiConfig::powermanna(), 0.99, 12)
-            .unwrap()
-            .with_policy(RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            });
-        let mut exhausted = 0;
-        let mut t = Time::ZERO;
-        for _ in 0..30 {
-            t += Duration::from_ms(1);
-            match ch.send_reliably(Side::A, t, Message::new(vec![1; 64])) {
-                Ok((_, m)) => assert!(m.verify()),
-                Err(DeliveryError::AttemptsExhausted { attempts }) => {
-                    assert_eq!(attempts, 3);
-                    exhausted += 1;
-                }
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(exhausted > 0, "99% corruption must exhaust 3 attempts");
-        assert_eq!(ch.stats().exhausted, exhausted);
-    }
-
-    #[test]
     fn resilient_network_clean_plan_delivers_everything() {
         let mut rn =
             ResilientNetwork::new(Network::new(Topology::two_nodes()), FaultPlan::clean(1));
@@ -583,6 +337,32 @@ mod tests {
         assert_eq!(s.transmissions, 10);
         assert_eq!(s.crc_failures, 0);
         assert_eq!(s.delivered_bytes, 10 * 1024);
+    }
+
+    #[test]
+    fn attempt_cap_is_a_typed_error() {
+        let plan = FaultPlan::clean(12).with_transient_rate(0.99).unwrap();
+        let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan).with_policy(
+            RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            },
+        );
+        let mut exhausted = 0;
+        let mut t = Time::ZERO;
+        for _ in 0..30 {
+            t += Duration::from_ms(1);
+            match rn.send(0, 1, 0, t, &[1; 64]) {
+                Ok(d) => assert_eq!(d.crc, Some(Message::new(vec![1; 64]).crc())),
+                Err(DeliveryError::AttemptsExhausted { attempts }) => {
+                    assert_eq!(attempts, 3);
+                    exhausted += 1;
+                }
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert!(exhausted > 0, "99% corruption must exhaust 3 attempts");
+        assert_eq!(rn.stats().retries_exhausted, exhausted);
     }
 
     #[test]
@@ -703,6 +483,20 @@ mod tests {
             DeliveryError::Unreachable { src: 0, dst: 1 }
         );
         assert_eq!(rn.stats().link_downs, 2);
+        assert_eq!(rn.stats().delivered_bytes, 0);
+    }
+
+    #[test]
+    fn out_of_range_plane_is_unreachable_not_a_panic() {
+        let mut rn =
+            ResilientNetwork::new(Network::new(Topology::two_nodes()), FaultPlan::clean(1));
+        for plane in [2, u32::MAX] {
+            assert_eq!(
+                rn.send(0, 1, plane, Time::ZERO, &[1; 64]).unwrap_err(),
+                DeliveryError::Unreachable { src: 0, dst: 1 }
+            );
+        }
+        assert_eq!(rn.stats().transmissions, 0);
         assert_eq!(rn.stats().delivered_bytes, 0);
     }
 

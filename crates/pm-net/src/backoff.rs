@@ -1,8 +1,8 @@
 //! Capped exponential retry backoff with optional deterministic jitter.
 //!
-//! One policy serves every retransmitting layer: the stop-and-wait and
-//! multi-hop transports in `pm_comm::reliable` (un-jittered by default,
-//! plus a fixed NACK turnaround they add themselves) and the route
+//! One policy serves every retransmitting layer: the multi-hop
+//! transport in `pm_comm::reliable` (un-jittered by default, plus a
+//! fixed NACK turnaround it adds itself) and the route
 //! simulator's retransmissions in [`crate::routesim`] (jittered by
 //! default).
 

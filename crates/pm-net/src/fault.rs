@@ -201,34 +201,14 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules `count` node-link failures at seed-derived nodes,
-    /// planes and instants within `[0, horizon)`. The schedule is a pure
-    /// function of the plan seed: the same seed always kills the same
-    /// links at the same times.
-    pub fn random_node_link_downs(mut self, nodes: usize, count: u32, horizon: Duration) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        let mut rng = SimRng::seed_from(self.seed ^ SCHEDULE_STREAM);
-        for _ in 0..count {
-            let node = rng.gen_range(0, nodes as u64) as NodeId;
-            let plane = rng.gen_range(0, 2) as u32;
-            let at = Time::from_ps(rng.gen_range(0, horizon.as_ps().max(1)));
-            self.link_downs.push(LinkDown {
-                at,
-                link: LinkRef::NodeLink { node, plane },
-            });
-        }
-        self.link_downs.sort_by_key(|d| d.at);
-        self
-    }
-
     /// Schedules `count` link failures drawn uniformly over the links
     /// `topology` actually has — node links *and* crossbar-to-crossbar
     /// links, each physical link counted once — at seed-derived instants
-    /// within `[0, horizon)`. Unlike
-    /// [`FaultPlan::random_node_link_downs`], every generated
-    /// [`LinkRef`] is valid for `topology` by construction, so a
-    /// hierarchical system's 272 crossbars get their middle uplinks
-    /// killed too, not just node cables.
+    /// within `[0, horizon)`. Every generated [`LinkRef`] is valid for
+    /// `topology` by construction, so a hierarchical system's 272
+    /// crossbars get their middle uplinks killed too, not just node
+    /// cables. The schedule is a pure function of the plan seed: the
+    /// same seed always kills the same links at the same times.
     ///
     /// # Panics
     ///
@@ -437,18 +417,20 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
+        let t = Topology::system256();
         let horizon = Duration::from_ms(5);
-        let a = FaultPlan::clean(7).random_node_link_downs(128, 6, horizon);
-        let b = FaultPlan::clean(7).random_node_link_downs(128, 6, horizon);
+        let a = FaultPlan::clean(7).random_link_downs(&t, 6, horizon);
+        let b = FaultPlan::clean(7).random_link_downs(&t, 6, horizon);
         assert_eq!(a, b);
         assert_eq!(a.schedule().len(), 6);
     }
 
     #[test]
     fn different_seeds_diverge() {
+        let t = Topology::system256();
         let horizon = Duration::from_ms(5);
-        let a = FaultPlan::clean(1).random_node_link_downs(128, 6, horizon);
-        let b = FaultPlan::clean(2).random_node_link_downs(128, 6, horizon);
+        let a = FaultPlan::clean(1).random_link_downs(&t, 6, horizon);
+        let b = FaultPlan::clean(2).random_link_downs(&t, 6, horizon);
         assert_ne!(a.schedule(), b.schedule());
     }
 
@@ -457,7 +439,7 @@ mod tests {
         let plan = FaultPlan::clean(3)
             .kill_link(Time::from_ps(500), LinkRef::NodeLink { node: 1, plane: 0 })
             .kill_link(Time::from_ps(100), LinkRef::XbarPort { xbar: 0, port: 3 })
-            .random_node_link_downs(8, 4, Duration::from_us(1));
+            .random_link_downs(&Topology::cluster8(), 4, Duration::from_us(1));
         let times: Vec<u64> = plan.schedule().iter().map(|d| d.at.as_ps()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -546,10 +528,14 @@ mod tests {
     #[test]
     fn validate_rejects_out_of_range_refs() {
         let t = Topology::system256();
-        // A plan drawn for a 4096-node machine names nodes a 128-node
-        // topology lacks; before validation these events silently never
-        // fired.
-        let plan = FaultPlan::clean(3).random_node_link_downs(4096, 16, Duration::from_ms(1));
+        // A plan drawn for the 1024-node machine names nodes and
+        // crossbars a 128-node topology lacks; before validation these
+        // events silently never fired.
+        let plan = FaultPlan::clean(3).random_link_downs(
+            &Topology::system1024(),
+            16,
+            Duration::from_ms(1),
+        );
         let err = plan.validate(&t).unwrap_err();
         assert!(matches!(err, FaultPlanError::UnknownLink(_)), "{err}");
         // Same for a crossbar port beyond the 16x16 ASIC.
@@ -558,7 +544,7 @@ mod tests {
         assert!(bad.validate(&t).is_err());
         // In-range plans pass.
         FaultPlan::clean(3)
-            .random_node_link_downs(128, 16, Duration::from_ms(1))
+            .random_link_downs(&t, 16, Duration::from_ms(1))
             .validate(&t)
             .expect("in-range plan validates");
     }

@@ -10,7 +10,6 @@
 //! queue in `pm-sim`.
 
 use crate::crossbar::CrossbarConfig;
-use crate::fault::TransientInjector;
 use crate::stopwire::{self, StallWindows, StopWireConfig, StopWireEngine};
 use pm_sim::event::EventQueue;
 use pm_sim::stats::Histogram;
@@ -75,62 +74,6 @@ impl FlitSimResult {
             return 0.0;
         }
         self.payload_bytes as f64 / self.finished_at.as_secs_f64() / 1e6
-    }
-
-    /// Goodput over the makespan, in Mbyte/s: only packets whose
-    /// `corrupted` flag (from [`FlitSim::run_with_faults`]) is clear
-    /// count — corrupted worms burned bandwidth for nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corrupted` and `packets` disagree in length with the
-    /// simulated batch.
-    pub fn goodput_mbs(&self, packets: &[Packet], corrupted: &[bool]) -> f64 {
-        assert_eq!(packets.len(), self.completions.len(), "batch mismatch");
-        assert_eq!(corrupted.len(), packets.len(), "flag mismatch");
-        if self.finished_at == Time::ZERO {
-            return 0.0;
-        }
-        let clean: u64 = packets
-            .iter()
-            .zip(corrupted)
-            .filter(|(_, &bad)| !bad)
-            .map(|(p, _)| p.payload as u64)
-            .sum();
-        clean as f64 / self.finished_at.as_secs_f64() / 1e6
-    }
-
-    /// On-time goodput over the makespan, in Mbyte/s: a worm counts only
-    /// if it is *clean* (its `corrupted` flag from
-    /// [`FlitSim::run_with_faults`] is clear) AND its last byte left
-    /// within `deadline` of its injection. A worm that is both corrupted
-    /// and late is excluded exactly once — the two fates overlap on the
-    /// same packet without double-discounting its payload (forced by the
-    /// `corrupted_and_late_worms_drop_exactly_once` property test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corrupted` and `packets` disagree in length with the
-    /// simulated batch.
-    pub fn on_time_goodput_mbs(
-        &self,
-        packets: &[Packet],
-        corrupted: &[bool],
-        deadline: Duration,
-    ) -> f64 {
-        assert_eq!(packets.len(), self.completions.len(), "batch mismatch");
-        assert_eq!(corrupted.len(), packets.len(), "flag mismatch");
-        if self.finished_at == Time::ZERO {
-            return 0.0;
-        }
-        let on_time: u64 = packets
-            .iter()
-            .zip(corrupted)
-            .zip(&self.completions)
-            .filter(|((p, &bad), &done)| !bad && done <= p.inject_at + deadline)
-            .map(|((p, _), _)| p.payload as u64)
-            .sum();
-        on_time as f64 / self.finished_at.as_secs_f64() / 1e6
     }
 }
 
@@ -273,32 +216,6 @@ impl FlitSim {
         bp: &Backpressure,
     ) -> FlitSimResult {
         self.run_inner(config, packets, Some(bp))
-    }
-
-    /// Like [`FlitSim::run`], but each packet is additionally offered to
-    /// a [`TransientInjector`]: the returned flags mark which packets
-    /// were corrupted in flight (in supply order, drawn deterministically
-    /// from the injector's fault-plan seed). Corrupted worms still cross
-    /// the crossbar and consume full bandwidth — the CRC check at the
-    /// receiving link interface is what discards them — so goodput is
-    /// the payload of *clean* packets over the makespan, computed by
-    /// [`FlitSimResult::goodput_mbs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a packet references a port outside the crossbar.
-    pub fn run_with_faults(
-        &mut self,
-        config: CrossbarConfig,
-        packets: &[Packet],
-        injector: &mut TransientInjector,
-    ) -> (FlitSimResult, Vec<bool>) {
-        let result = self.run_inner(config, packets, None);
-        let corrupted = packets
-            .iter()
-            .map(|p| injector.draw(p.payload as usize).is_some())
-            .collect();
-        (result, corrupted)
     }
 
     fn run_inner(
@@ -551,33 +468,6 @@ mod tests {
 
     fn cfg() -> CrossbarConfig {
         CrossbarConfig::powermanna()
-    }
-
-    #[test]
-    fn faulty_run_flags_are_deterministic_and_cost_goodput() {
-        use crate::fault::FaultPlan;
-
-        let packets = uniform_traffic(cfg(), 4, 512, 21);
-        let plan = FaultPlan::clean(77).with_transient_rate(0.3).unwrap();
-        let run = || {
-            let mut inj = TransientInjector::new(&plan);
-            FlitSim::new().run_with_faults(cfg(), &packets, &mut inj)
-        };
-        let (result, corrupted) = run();
-        let (again, corrupted_again) = run();
-        assert_eq!(corrupted, corrupted_again);
-        assert_eq!(result.completions, again.completions);
-        let bad = corrupted.iter().filter(|&&b| b).count();
-        assert!(bad > 0, "rate 0.3 over 64 packets should corrupt some");
-        assert!(bad < packets.len(), "and spare some");
-        let goodput = result.goodput_mbs(&packets, &corrupted);
-        assert!(goodput < result.throughput_mbs());
-        // A clean plan's goodput is the full throughput.
-        let clean = FaultPlan::clean(77);
-        let mut inj = TransientInjector::new(&clean);
-        let (r, flags) = FlitSim::new().run_with_faults(cfg(), &packets, &mut inj);
-        assert!(flags.iter().all(|&b| !b));
-        assert_eq!(r.goodput_mbs(&packets, &flags), r.throughput_mbs());
     }
 
     #[test]

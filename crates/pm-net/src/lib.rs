@@ -76,5 +76,5 @@ pub use routesim::{
 };
 pub use stopwire::{RouteFlowStats, StallWindows, StopWireConfig, StopWireEngine, StopWireStats};
 pub use topology::{LinkKey, LinkKind, NodeId, Topology, XbarId};
-pub use transceiver::{Transceiver, TransceiverConfig};
+pub use transceiver::TransceiverConfig;
 pub use wire::{Wire, WireConfig};

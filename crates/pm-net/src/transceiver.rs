@@ -7,15 +7,16 @@
 //! asynchronous FIFO buffers with 2-Kbyte entries allowing soft flow
 //! control over a longer distance."
 //!
-//! The transceiver pair is modelled as: sender-side synchroniser →
-//! cable flight time → receiver-side 2-KB asynchronous FIFO → downstream
-//! link. The deep FIFO is what lets the stop signal work over a cable
-//! whose round-trip time exceeds many byte times.
+//! [`TransceiverConfig`] describes the pair: sender-side synchroniser,
+//! cable flight time and the receiver-side 2-KB asynchronous FIFO. The
+//! deep FIFO is what lets the stop signal work over a cable whose round
+//! trip exceeds many byte times. Routes charge an asynchronous segment
+//! its latency through [`WireConfig::asynchronous`] and its flow control
+//! through [`TransceiverConfig::stop_wire`].
 
-use crate::fifo::TimedFifo;
 use crate::stopwire::StopWireConfig;
-use crate::wire::{Wire, WireConfig};
-use pm_sim::time::{Duration, Time};
+use crate::wire::WireConfig;
+use pm_sim::time::Duration;
 
 /// Transceiver configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,86 +88,6 @@ impl TransceiverConfig {
     }
 }
 
-/// One direction of an inter-cabinet link through a transceiver pair.
-///
-/// # Examples
-///
-/// ```
-/// use pm_net::transceiver::{Transceiver, TransceiverConfig};
-/// use pm_sim::time::Time;
-///
-/// let mut t = Transceiver::new(TransceiverConfig::powermanna(30));
-/// let arrive = t.send(Time::ZERO, 64).expect("fifo empty");
-/// assert!(arrive.as_ns_f64() > 150.0, "cable flight + sync visible");
-/// ```
-#[derive(Clone, Debug)]
-pub struct Transceiver {
-    config: TransceiverConfig,
-    wire: Wire,
-    fifo: TimedFifo,
-    bytes: u64,
-}
-
-impl Transceiver {
-    /// Creates an idle transceiver pair.
-    pub fn new(config: TransceiverConfig) -> Self {
-        Transceiver {
-            wire: Wire::new(config.wire),
-            fifo: TimedFifo::new(config.fifo_bytes),
-            config,
-            bytes: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> TransceiverConfig {
-        self.config
-    }
-
-    /// Sends a chunk at `t`; returns its arrival time in the receive-side
-    /// FIFO, or `None` when the FIFO (minus the stop-signal skid) has no
-    /// room until the consumer drains.
-    pub fn send(&mut self, t: Time, bytes: u32) -> Option<Time> {
-        // Soft flow control must leave skid room: the stop signal takes a
-        // cable round trip to bite, so the sender treats the FIFO as full
-        // that many bytes early.
-        let usable =
-            self.config.fifo_bytes - self.config.skid_bytes().min(self.config.fifo_bytes / 2);
-        if self.fifo.level(t) + bytes > usable {
-            self.fifo
-                .space_available(t, bytes + self.config.fifo_bytes - usable)?;
-        }
-        let (_, wire_arrive) = self.wire.send(t + self.config.sync_latency, bytes);
-        let landed = wire_arrive + self.config.flight_time() + self.config.sync_latency;
-        let at = self
-            .fifo
-            .space_available(landed, bytes)
-            .unwrap_or(landed)
-            .max(landed);
-        self.fifo.push(at, bytes);
-        self.bytes += u64::from(bytes);
-        Some(at)
-    }
-
-    /// The downstream consumer drains `bytes` at `t`; returns when they
-    /// were available, or `None` if not yet arrived.
-    pub fn drain(&mut self, t: Time, bytes: u32) -> Option<Time> {
-        let at = self.fifo.data_available(t, bytes)?;
-        self.fifo.pop(at, bytes);
-        Some(at)
-    }
-
-    /// Total bytes forwarded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// FIFO occupancy at `t`.
-    pub fn fifo_level(&self, t: Time) -> u32 {
-        self.fifo.level(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,65 +127,6 @@ mod tests {
         for metres in [0, 1, 15, 30] {
             TransceiverConfig::powermanna(metres).stop_wire();
         }
-    }
-
-    #[test]
-    fn chunk_arrives_after_sync_wire_and_flight() {
-        let cfg = TransceiverConfig::powermanna(30);
-        let mut t = Transceiver::new(cfg);
-        let arrive = t.send(Time::ZERO, 8).unwrap();
-        let expected = Time::ZERO
-            + cfg.sync_latency
-            + cfg.wire.byte_time * 8
-            + cfg.wire.latency
-            + cfg.flight_time()
-            + cfg.sync_latency;
-        assert_eq!(arrive, expected);
-    }
-
-    #[test]
-    fn rate_is_still_link_rate() {
-        // The transceiver adds latency, not a rate limit: streaming with
-        // an eager drain sustains ~60 MB/s.
-        let mut t = Transceiver::new(TransceiverConfig::powermanna(30));
-        let mut send_t = Time::ZERO;
-        let mut drain_t = Time::ZERO;
-        let total = 32 * 1024u32;
-        let mut sent = 0;
-        let mut drained = 0;
-        let mut last = Time::ZERO;
-        while drained < total {
-            if sent < total {
-                if let Some(arrive) = t.send(send_t, 64) {
-                    send_t = send_t.max(arrive - t.config().flight_time() * 2);
-                    sent += 64;
-                    let _ = arrive;
-                    continue;
-                }
-            }
-            let at = t.drain(drain_t, 64).expect("sender ahead");
-            drain_t = at;
-            drained += 64;
-            last = at;
-        }
-        let mbs = total as f64 / last.as_secs_f64() / 1e6;
-        assert!((40.0..62.0).contains(&mbs), "streaming {mbs:.1} MB/s");
-    }
-
-    #[test]
-    fn full_fifo_blocks_until_drain() {
-        let cfg = TransceiverConfig::powermanna(30);
-        let mut t = Transceiver::new(cfg);
-        let mut cursor = Time::ZERO;
-        let mut pushed = 0u32;
-        while let Some(a) = t.send(cursor, 64) {
-            cursor = cursor.max(a);
-            pushed += 64;
-            assert!(pushed <= 4096, "flow control never engaged");
-        }
-        // A drain frees space.
-        let at = t.drain(cursor, 64).expect("data queued");
-        assert!(t.send(at, 64).is_some());
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! The PowerMANNA single-board node computer (§2 + §3.3 of the paper).
 //!
-//! * [`adsp`] — the ADSP multi-master bus switch: 11 gate-array slices of
-//!   a three-way, 36-bit address/data path switch giving every master a
-//!   point-to-point path instead of a shared bus.
 //! * [`dispatcher`] — the central dispatcher: absorbs the MPC620's
 //!   split-transaction, pipelined, tagged out-of-order bus protocol and
 //!   presents a simple interface to all other units (patent pending, per
@@ -12,6 +9,9 @@
 //! * [`ni`] — the network interface: per-direction FIFOs of 32 x 64-bit
 //!   words, memory-mapped to the CPUs; no NIC processor, no DMA.
 //! * [`node`] — the assembled dual-MPC620 node.
+//!
+//! The §2 ADSP switch has no model of its own here: its per-master data
+//! paths are the memory bus's [`pm_mem::bus::DataPath::PerPort`].
 //!
 //! # Examples
 //!
@@ -23,18 +23,12 @@
 //! assert_eq!(node.config().ni.send_fifo_bytes, 256); // 32 x 64-bit words
 //! ```
 
-pub mod adsp;
 pub mod crc;
 pub mod dispatcher;
 pub mod ni;
 pub mod node;
-pub mod pci;
-pub mod regs;
 
-pub use adsp::{AdspSwitch, Port};
 pub use crc::{crc16, Crc16};
 pub use dispatcher::{Dispatcher, DispatcherConfig, TransactionKind};
 pub use ni::{NiConfig, NiDirection};
 pub use node::{Node, NodeConfig};
-pub use pci::{PciBus, PciConfig};
-pub use regs::{decode, NiAccess, NiRegister};

@@ -9,18 +9,19 @@
 //!   conversions go through picoseconds).
 //! * [`event`] — a deterministic discrete-event queue used by the
 //!   flit-level network simulator.
-//! * [`resource`] — occupancy-timeline resources that model contention on
-//!   buses, ports and pipelines without a full event loop.
+//! * [`resource`] — an occupancy-timeline [`resource::Resource`] that
+//!   models contention on buses, banks and links without a full event loop.
 //! * [`par`] — a zero-dependency bounded worker pool; [`par::par_sweep`]
 //!   fans independent sweep points across threads with results stitched
 //!   back in input order, so parallel runs stay byte-identical to serial.
 //! * [`rng`] — a small, seedable, dependency-free PRNG so every experiment
 //!   is reproducible bit-for-bit.
-//! * [`stats`] — counters, histograms and series plus CSV/markdown/ASCII
-//!   rendering for the experiment harness.
+//! * [`stats`] — counters, histograms, series, figures and tables plus
+//!   CSV/markdown/ASCII rendering for the experiment harness.
 //! * [`metrics`] — the hierarchical [`metrics::MetricRegistry`] every
-//!   model layer publishes its counters into, keyed by component path
-//!   (`node0/mem/cpu0/l1/hits`), rendered as a tree or diff-stable CSV.
+//!   model layer publishes its counters and histograms into, keyed by
+//!   component path (`node0/mem/cpu0/l1/hits`), rendered as a tree or
+//!   diff-stable CSV.
 //!
 //! # Examples
 //!
@@ -45,7 +46,7 @@ pub mod time;
 pub use event::EventQueue;
 pub use metrics::{MetricId, MetricRegistry};
 pub use par::par_sweep;
-pub use resource::{PipelinedResource, Resource};
+pub use resource::Resource;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Series, Summary};
+pub use stats::{Counter, Histogram, Series};
 pub use time::{Clock, Duration, Time};

@@ -27,22 +27,19 @@
 //!
 //! ```
 //! use pm_sim::metrics::MetricRegistry;
-//! use pm_sim::time::Time;
 //!
 //! let mut reg = MetricRegistry::new();
 //! let hits = reg.counter("node0/mem/l1/hits");
 //! reg.add(hits, 3);
 //! reg.add(hits, 2);
-//! let occ = reg.gauge("node0/ni/tx_fifo_occupancy");
-//! reg.gauge_set(occ, Time::ZERO, 64.0);
-//! reg.gauge_set(occ, Time::from_ps(1000), 192.0);
+//! let sizes = reg.histogram("node0/ni/message_bytes");
+//! reg.record(sizes, 64);
 //! assert_eq!(reg.counter_value("node0/mem/l1/hits"), Some(5));
 //! let csv = reg.to_csv();
 //! assert!(csv.contains("node0/mem/l1/hits,counter,5"));
 //! ```
 
-use crate::stats::{Counter, Histogram, Summary};
-use crate::time::Time;
+use crate::stats::{Counter, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -52,88 +49,13 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MetricId(usize);
 
-/// A gauge whose mean is weighted by how long each value was held —
-/// the right average for occupancy-style signals sampled at
-/// irregular simulated instants.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TimeWeightedGauge {
-    last_value: f64,
-    last_at: Option<Time>,
-    first_at: Option<Time>,
-    /// Integral of value over picoseconds.
-    weighted_ps: f64,
-    min: f64,
-    max: f64,
-}
-
-impl TimeWeightedGauge {
-    /// Sets the gauge to `value` at simulated instant `t`. Updates must
-    /// arrive in non-decreasing time order; the interval since the last
-    /// update is credited to the *previous* value.
-    pub fn set(&mut self, t: Time, value: f64) {
-        match self.last_at {
-            None => {
-                self.first_at = Some(t);
-                self.min = value;
-                self.max = value;
-            }
-            Some(last) => {
-                debug_assert!(t >= last, "gauge updates must move forward in time");
-                self.weighted_ps += self.last_value * t.since(last).as_ps() as f64;
-                self.min = self.min.min(value);
-                self.max = self.max.max(value);
-            }
-        }
-        self.last_value = value;
-        self.last_at = Some(t);
-    }
-
-    /// The most recent value (0.0 before the first set).
-    pub fn last(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Smallest value ever set (0.0 before the first set).
-    pub fn min(&self) -> f64 {
-        if self.first_at.is_some() {
-            self.min
-        } else {
-            0.0
-        }
-    }
-
-    /// Largest value ever set (0.0 before the first set).
-    pub fn max(&self) -> f64 {
-        if self.first_at.is_some() {
-            self.max
-        } else {
-            0.0
-        }
-    }
-
-    /// Time-weighted mean over the observed span. With fewer than two
-    /// updates there is no span, so the last value is returned.
-    pub fn mean(&self) -> f64 {
-        match (self.first_at, self.last_at) {
-            (Some(first), Some(last)) if last > first => {
-                self.weighted_ps / last.since(first).as_ps() as f64
-            }
-            _ => self.last_value,
-        }
-    }
-}
-
 /// The value side of one registered metric.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Metric {
     /// A monotonically increasing event count.
     Counter(Counter),
-    /// A time-weighted level (FIFO occupancy, in-flight transactions).
-    Gauge(TimeWeightedGauge),
     /// A power-of-two-bucketed distribution of integer samples.
     Histogram(Histogram),
-    /// Running mean/min/max/stddev of float samples.
-    Summary(Summary),
 }
 
 impl Metric {
@@ -141,36 +63,22 @@ impl Metric {
     pub fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "hist",
-            Metric::Summary(_) => "summary",
         }
     }
 
-    /// The rendered value column: counters print exact integers, the
-    /// float kinds print with fixed precision so output is diff-stable.
+    /// The rendered value column: counters print exact integers and
+    /// histograms print their float mean with fixed precision, so output
+    /// is diff-stable.
     fn render_value(&self) -> String {
         match self {
             Metric::Counter(c) => format!("{}", c.value()),
-            Metric::Gauge(g) => format!(
-                "last={:.3} mean={:.3} max={:.3}",
-                g.last(),
-                g.mean(),
-                g.max()
-            ),
             Metric::Histogram(h) => format!(
                 "count={} total={} mean={:.3} p99={}",
                 h.total(),
                 h.sum(),
                 h.mean(),
                 h.quantile(0.99)
-            ),
-            Metric::Summary(s) => format!(
-                "count={} mean={:.3} min={:.3} max={:.3}",
-                s.count(),
-                s.mean(),
-                if s.count() == 0 { 0.0 } else { s.min() },
-                if s.count() == 0 { 0.0 } else { s.max() }
             ),
         }
     }
@@ -237,21 +145,6 @@ impl MetricRegistry {
         id
     }
 
-    /// Registers (or finds) a time-weighted gauge at `path`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is already registered as a different kind.
-    pub fn gauge(&mut self, path: &str) -> MetricId {
-        let id = self.register(path, |_| Metric::Gauge(TimeWeightedGauge::default()));
-        assert!(
-            matches!(self.metrics[id.0].1, Metric::Gauge(_)),
-            "{path} is registered as a {}",
-            self.metrics[id.0].1.kind()
-        );
-        id
-    }
-
     /// Registers (or finds) a histogram at `path`.
     ///
     /// # Panics
@@ -261,21 +154,6 @@ impl MetricRegistry {
         let id = self.register(path, |p| Metric::Histogram(Histogram::new(p)));
         assert!(
             matches!(self.metrics[id.0].1, Metric::Histogram(_)),
-            "{path} is registered as a {}",
-            self.metrics[id.0].1.kind()
-        );
-        id
-    }
-
-    /// Registers (or finds) a summary at `path`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is already registered as a different kind.
-    pub fn summary(&mut self, path: &str) -> MetricId {
-        let id = self.register(path, |_| Metric::Summary(Summary::new()));
-        assert!(
-            matches!(self.metrics[id.0].1, Metric::Summary(_)),
             "{path} is registered as a {}",
             self.metrics[id.0].1.kind()
         );
@@ -306,18 +184,6 @@ impl MetricRegistry {
         self.add(id, n);
     }
 
-    /// Sets the gauge behind `id` to `value` at simulated instant `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a gauge.
-    pub fn gauge_set(&mut self, id: MetricId, t: Time, value: f64) {
-        match &mut self.metrics[id.0].1 {
-            Metric::Gauge(g) => g.set(t, value),
-            m => panic!("gauge_set on a {}", m.kind()),
-        }
-    }
-
     /// Records `v` into the histogram behind `id`.
     ///
     /// # Panics
@@ -327,18 +193,6 @@ impl MetricRegistry {
         match &mut self.metrics[id.0].1 {
             Metric::Histogram(h) => h.record(v),
             m => panic!("record on a {}", m.kind()),
-        }
-    }
-
-    /// Records `v` into the summary behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a summary.
-    pub fn observe(&mut self, id: MetricId, v: f64) {
-        match &mut self.metrics[id.0].1 {
-            Metric::Summary(s) => s.record(v),
-            m => panic!("observe on a {}", m.kind()),
         }
     }
 
@@ -370,24 +224,6 @@ impl MetricRegistry {
         self.index
             .iter()
             .map(move |(p, &i)| (p.as_str(), &self.metrics[i].1))
-    }
-
-    /// Folds every metric of `other` into `self`: counters add,
-    /// histograms and summaries would need sample replay so they are
-    /// rejected — merging is for sharded counter collection
-    /// (per-worker registries from a sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a kind mismatch at a shared path, or when `other`
-    /// holds a non-counter metric (those cannot be merged losslessly).
-    pub fn merge_counters(&mut self, other: &MetricRegistry) {
-        for (path, metric) in other.iter() {
-            match metric {
-                Metric::Counter(c) => self.count(path, c.value()),
-                m => panic!("cannot merge a {} ({path})", m.kind()),
-            }
-        }
     }
 
     /// Renders the registry as an indented tree grouped by path
@@ -457,40 +293,19 @@ mod tests {
     }
 
     #[test]
-    fn gauge_mean_is_time_weighted() {
-        let mut g = TimeWeightedGauge::default();
-        // 100 for 1000 ps, then 0 for 3000 ps: mean 25, not 50.
-        g.set(Time::ZERO, 100.0);
-        g.set(Time::from_ps(1000), 0.0);
-        g.set(Time::from_ps(4000), 0.0);
-        assert_eq!(g.mean(), 25.0);
-        assert_eq!(g.max(), 100.0);
-        assert_eq!(g.min(), 0.0);
-        assert_eq!(g.last(), 0.0);
-    }
-
-    #[test]
-    fn gauge_with_one_sample_reports_it() {
-        let mut g = TimeWeightedGauge::default();
-        g.set(Time::from_ps(500), 7.0);
-        assert_eq!(g.mean(), 7.0);
-        assert_eq!(g.max(), 7.0);
-    }
-
-    #[test]
     #[should_panic(expected = "registered as a counter")]
     fn kind_collision_panics() {
         let mut reg = MetricRegistry::new();
         reg.counter("x/y");
-        reg.gauge("x/y");
+        reg.histogram("x/y");
     }
 
     #[test]
-    #[should_panic(expected = "add on a gauge")]
-    fn counter_ops_on_gauge_panic() {
+    #[should_panic(expected = "add on a hist")]
+    fn counter_ops_on_histogram_panic() {
         let mut reg = MetricRegistry::new();
-        let g = reg.gauge("x");
-        reg.add(g, 1);
+        let h = reg.histogram("x");
+        reg.add(h, 1);
     }
 
     #[test]
@@ -521,28 +336,5 @@ mod tests {
         let expect =
             "node0/\n  mem/\n    l1/\n      hits: 5\n      misses: 1\n  ni/\n    bytes: 64\n";
         assert_eq!(tree, expect);
-    }
-
-    #[test]
-    fn merge_counters_adds_shards() {
-        let mut a = MetricRegistry::new();
-        a.count("x/events", 3);
-        let mut b = MetricRegistry::new();
-        b.count("x/events", 4);
-        b.count("y/other", 1);
-        a.merge_counters(&b);
-        assert_eq!(a.counter_value("x/events"), Some(7));
-        assert_eq!(a.counter_value("y/other"), Some(1));
-    }
-
-    #[test]
-    fn summary_and_histogram_render() {
-        let mut reg = MetricRegistry::new();
-        let s = reg.summary("lat/us");
-        reg.observe(s, 1.0);
-        reg.observe(s, 3.0);
-        let m = reg.get("lat/us").unwrap();
-        assert_eq!(m.kind(), "summary");
-        assert!(m.render_value().contains("mean=2.000"));
     }
 }

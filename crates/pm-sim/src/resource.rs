@@ -1,7 +1,7 @@
 //! Occupancy-timeline resources for contention modelling.
 //!
-//! The node-level timing models (CPU pipelines, bus address/data phases,
-//! DRAM banks) do not need a full event loop: each shared unit can be
+//! The node-level timing models (bus address/data phases, DRAM banks,
+//! link serialisers) do not need a full event loop: each shared unit can be
 //! modelled as a *resource* that remembers when it next becomes free.
 //! A request arriving at `t` is serviced at `max(t, next_free)` and holds
 //! the resource for its occupancy. Contention then *emerges* from the
@@ -83,107 +83,6 @@ impl Resource {
     }
 }
 
-/// A pipelined unit: new operations may start every `initiation_interval`,
-/// but each takes `latency` to produce its result.
-///
-/// Models the MPC620's pipelined floating-point units and the interleaved
-/// node memory (640 Mbyte/s comes from pipelining across banks, not from
-/// a single fast bank).
-///
-/// # Examples
-///
-/// ```
-/// use pm_sim::resource::PipelinedResource;
-/// use pm_sim::time::{Duration, Time};
-///
-/// // FP multiply: issues every cycle, 3-cycle latency (5556 ps cycles).
-/// let cyc = Duration::from_ps(5556);
-/// let mut fpu = PipelinedResource::new(cyc, cyc * 3);
-/// let r0 = fpu.issue(Time::ZERO);
-/// let r1 = fpu.issue(Time::ZERO);
-/// assert_eq!(r0.result_at, Time::ZERO + cyc * 3);
-/// // Second op starts one initiation interval later.
-/// assert_eq!(r1.start, Time::ZERO + cyc);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PipelinedResource {
-    initiation_interval: Duration,
-    latency: Duration,
-    next_issue: Time,
-    issues: u64,
-}
-
-/// Timing of one operation issued to a [`PipelinedResource`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Issue {
-    /// When the operation entered the pipeline.
-    pub start: Time,
-    /// When its result is available.
-    pub result_at: Time,
-}
-
-impl PipelinedResource {
-    /// Creates a pipeline accepting one operation per `initiation_interval`,
-    /// each completing after `latency`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency < initiation_interval` (a pipeline cannot finish
-    /// an operation before it could even accept the next one *and* claim to
-    /// be pipelined; use equal values for a single-cycle unit).
-    pub fn new(initiation_interval: Duration, latency: Duration) -> Self {
-        assert!(
-            latency >= initiation_interval,
-            "latency shorter than initiation interval"
-        );
-        PipelinedResource {
-            initiation_interval,
-            latency,
-            next_issue: Time::ZERO,
-            issues: 0,
-        }
-    }
-
-    /// Creates a non-pipelined unit: the next operation can only start
-    /// after the previous result is out.
-    pub fn unpipelined(latency: Duration) -> Self {
-        Self::new(latency, latency)
-    }
-
-    /// Issues an operation at `t`; returns when it starts and when its
-    /// result is ready.
-    pub fn issue(&mut self, t: Time) -> Issue {
-        let start = t.max(self.next_issue);
-        self.next_issue = start + self.initiation_interval;
-        self.issues += 1;
-        Issue {
-            start,
-            result_at: start + self.latency,
-        }
-    }
-
-    /// Number of operations issued so far.
-    pub fn issues(&self) -> u64 {
-        self.issues
-    }
-
-    /// The configured initiation interval.
-    pub fn initiation_interval(&self) -> Duration {
-        self.initiation_interval
-    }
-
-    /// The configured result latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
-    /// Resets issue state, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.next_issue = Time::ZERO;
-        self.issues = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,41 +117,5 @@ mod tests {
         r.reset();
         assert_eq!(r.grants(), 0);
         assert_eq!(r.acquire(Time::ZERO, NS), Time::ZERO);
-    }
-
-    #[test]
-    fn pipeline_overlaps_operations() {
-        let mut p = PipelinedResource::new(NS, NS * 4);
-        let a = p.issue(Time::ZERO);
-        let b = p.issue(Time::ZERO);
-        let c = p.issue(Time::ZERO);
-        assert_eq!(a.result_at, Time::from_ps(4_000));
-        assert_eq!(b.result_at, Time::from_ps(5_000));
-        assert_eq!(c.result_at, Time::from_ps(6_000));
-        assert_eq!(p.issues(), 3);
-    }
-
-    #[test]
-    fn unpipelined_serialises_fully() {
-        let mut p = PipelinedResource::unpipelined(NS * 4);
-        let a = p.issue(Time::ZERO);
-        let b = p.issue(Time::ZERO);
-        assert_eq!(a.result_at, Time::from_ps(4_000));
-        assert_eq!(b.start, Time::from_ps(4_000));
-        assert_eq!(b.result_at, Time::from_ps(8_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "latency shorter")]
-    fn pipeline_rejects_inverted_config() {
-        let _ = PipelinedResource::new(NS * 4, NS);
-    }
-
-    #[test]
-    fn pipeline_idle_gap_resets_timing() {
-        let mut p = PipelinedResource::new(NS, NS * 2);
-        p.issue(Time::ZERO);
-        let late = p.issue(Time::from_ps(50_000));
-        assert_eq!(late.start, Time::from_ps(50_000));
     }
 }

@@ -5,7 +5,6 @@
 //! (CSV, markdown tables, ASCII plots) so the repository stays free of
 //! plotting dependencies.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A named monotonically increasing event counter.
@@ -59,93 +58,6 @@ impl Counter {
     /// Resets the count to zero.
     pub fn reset(&mut self) {
         self.value = 0;
-    }
-}
-
-/// Running summary statistics (count, mean, min, max, variance) computed
-/// with Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use pm_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0, 4.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 4);
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 4.0);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+∞ when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (−∞ when empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -601,58 +513,6 @@ impl Table {
     }
 }
 
-/// A bag of named counters, convenient for per-component statistics.
-///
-/// # Examples
-///
-/// ```
-/// use pm_sim::stats::Counters;
-///
-/// let mut c = Counters::new();
-/// c.add("hits", 2);
-/// c.incr("hits");
-/// assert_eq!(c.get("hits"), 3);
-/// assert_eq!(c.get("absent"), 0);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counters {
-    map: BTreeMap<String, u64>,
-}
-
-impl Counters {
-    /// Creates an empty bag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to counter `name`, creating it if absent.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.map.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Adds one to counter `name`.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter; absent counters read as zero.
-    pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates counters in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.map.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Merges another bag into this one, summing shared names.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,29 +525,6 @@ mod tests {
         assert_eq!(c.value(), 6);
         c.reset();
         assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn summary_matches_naive_computation() {
-        let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut s = Summary::new();
-        for &v in &data {
-            s.record(v);
-        }
-        let mean = data.iter().sum::<f64>() / data.len() as f64;
-        let var = data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / data.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-9);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_summary_is_sane() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
     }
 
     #[test]
@@ -772,18 +609,5 @@ mod tests {
         t.add_row(vec!["x".into(), "1".into()]);
         assert!(t.to_markdown().contains("| x | 1 |"));
         assert_eq!(t.to_csv(), "k,v\nx,1\n");
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::new();
-        a.add("n", 1);
-        let mut b = Counters::new();
-        b.add("n", 2);
-        b.add("m", 5);
-        a.merge(&b);
-        assert_eq!(a.get("n"), 3);
-        assert_eq!(a.get("m"), 5);
-        assert_eq!(a.iter().count(), 2);
     }
 }

@@ -12,9 +12,9 @@
 //! * [`mem`] — caches, MESI coherence, the interleaved DRAM model.
 //! * [`cpu`] — the superscalar CPU timing model (MPC620 and the two
 //!   comparison machines from Table 1).
-//! * [`node`] — the single-board node: ADSP switch, dispatcher, network
-//!   interface.
-//! * [`net`] — links, crossbars, transceivers, topologies.
+//! * [`node`] — the single-board node: dispatcher, network interface,
+//!   CRC.
+//! * [`net`] — links, crossbars, topologies, route and fault simulation.
 //! * [`comm`] — the user-level PIO messaging layer and cluster baselines.
 //! * [`workloads`] — HINT and MatMult reimplementations.
 //! * [`machine`] — system assembly (Table 1 configs) and the experiment

@@ -757,17 +757,22 @@ fn page_placement_bijective() {
 #[test]
 fn fault_plans_are_seed_deterministic() {
     use powermanna::net::fault::FaultPlan;
+    let topologies = [
+        Topology::two_nodes(),
+        Topology::cluster8(),
+        Topology::system256(),
+    ];
     let mut rng = cases(17);
     for _ in 0..64 {
         let seed = rng.next_u64();
-        let nodes = rng.gen_range(2, 256) as usize;
+        let topology = &topologies[rng.gen_range(0, topologies.len() as u64) as usize];
         let count = rng.gen_range(1, 20) as u32;
         let horizon = Duration::from_us(rng.gen_range(1, 10_000));
         let plan = |s: u64| {
             FaultPlan::clean(s)
                 .with_transient_rate(0.25)
                 .unwrap()
-                .random_node_link_downs(nodes, count, horizon)
+                .random_link_downs(topology, count, horizon)
         };
         let a = plan(seed);
         assert_eq!(a, plan(seed), "schedule must replay byte-identically");
@@ -1181,9 +1186,7 @@ fn plane_routes_are_crossbar_disjoint() {
 #[test]
 fn corrupted_and_late_worms_drop_exactly_once() {
     use powermanna::machine::traffic::{run_scenario, ScenarioConfig, ScenarioTopology};
-    use powermanna::net::fault::{FaultPlan, TransientInjector};
-    use powermanna::net::flitsim::{self, FlitSim};
-    use powermanna::net::CrossbarConfig;
+    use powermanna::net::fault::FaultPlan;
     use powermanna::workloads::traffic::TrafficPattern;
 
     let mut rng = cases(46);
@@ -1227,29 +1230,6 @@ fn corrupted_and_late_worms_drop_exactly_once() {
     // injector corrupted attempts, in the same runs.
     assert!(late_total > 0, "no worm was ever served late");
     assert!(crc_total > 0, "the injector never corrupted a worm");
-
-    // The flit-level filter agrees: on-time goodput is monotone in the
-    // deadline, never exceeds clean goodput, and a corrupted-and-late
-    // worm counts zero once — never negative, never twice.
-    let cfg = CrossbarConfig::powermanna();
-    let packets = flitsim::hotspot_traffic(cfg, 4, 2048);
-    let plan = FaultPlan::clean(0xC0DE).with_transient_rate(0.5).unwrap();
-    let mut inj = TransientInjector::new(&plan);
-    let mut sim = FlitSim::new();
-    let (result, corrupted) = sim.run_with_faults(cfg, &packets, &mut inj);
-    let clean = result.goodput_mbs(&packets, &corrupted);
-    let mut prev = 0.0f64;
-    for us in [1u64, 50, 200, 1_000, 10_000_000] {
-        let on_time = result.on_time_goodput_mbs(&packets, &corrupted, Duration::from_us(us));
-        assert!(on_time >= prev, "on-time goodput must grow with the budget");
-        assert!(
-            on_time <= clean + 1e-9,
-            "on-time goodput exceeded clean goodput"
-        );
-        prev = on_time;
-    }
-    // With an effectively infinite budget the two filters coincide.
-    assert!((prev - clean).abs() < 1e-9);
 }
 
 /// A single link death mid-batch never loses or duplicates a payload,
