@@ -32,6 +32,12 @@ cargo test --release -q --test parity
 echo "== figure shape checks (quick) =="
 cargo run --release -p pm-bench --bin figures -- --quick --checks
 
+echo "== fault injection example =="
+# The example drives the self-healing loop through transients and a
+# plane death, and asserts zero loss and in-order delivery per link
+# interface: a recovery regression exits non-zero here.
+cargo run --release --example fault_injection > /dev/null
+
 echo "== pmbench unit tests =="
 # pmbench is its own package (outside the workspace), so the workspace
 # test run above does not reach it. Its reduced-scale workload test

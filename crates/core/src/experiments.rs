@@ -721,17 +721,18 @@ fn x8_faults(quick: bool) -> Figure {
     fig
 }
 
-/// One X8 measurement: two message streams (one per preferred plane)
-/// between a node pair, driven through [`ResilientNetwork`] under a
-/// seeded fault plan; returns goodput in Mbyte/s. `kill_plane0` adds a
+/// One X8 measurement: two worm streams from node 0 to node 1, one
+/// queued on each of node 0's link interfaces at t = 0, driven through
+/// [`RouteSim::run_resilient`] with detected failover under a seeded
+/// fault plan; returns goodput in Mbyte/s. `kill_plane0` adds a
 /// scheduled death of node 0's plane-0 link mid-run.
 fn x8_goodput(quick: bool, rate: f64, kill_plane0: bool) -> f64 {
-    use pm_comm::reliable::ResilientNetwork;
     use pm_net::fault::{FaultPlan, LinkRef};
+    use pm_net::routesim::{ResilienceConfig, RouteSim, Worm};
 
     let (messages, payload) = if quick { (16, 4096) } else { (64, 16384) };
     let kill_at = if quick {
-        Time::from_ps(150_000_000) // 150 us: after ~2 round trips
+        Time::from_ps(150_000_000) // 150 us: after ~2 worms per plane
     } else {
         Time::from_ps(2_000_000_000) // 2 ms: about a quarter through
     };
@@ -741,21 +742,19 @@ fn x8_goodput(quick: bool, rate: f64, kill_plane0: bool) -> f64 {
     if kill_plane0 {
         plan = plan.kill_link(kill_at, LinkRef::NodeLink { node: 0, plane: 0 });
     }
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
-    let mut buf = vec![0u8; payload];
-    // Two independent streams, one preferring each plane, with their
-    // own time cursors — the clean case keeps both planes busy.
-    let mut cursors = [Time::ZERO; 2];
-    for i in 0..messages {
-        buf[0] = i as u8;
-        let plane = (i % 2) as u32;
-        let d = rn
-            .send(0, 1, plane, cursors[plane as usize], &buf)
-            .expect("a healthy plane remains");
-        cursors[plane as usize] = d.finished;
-    }
-    let elapsed = cursors[0].max(cursors[1]);
-    (messages * payload) as f64 / elapsed.as_secs_f64() / 1e6
+    let worms: Vec<Worm> = (0..messages)
+        .map(|i| Worm {
+            src: 0,
+            dst: 1,
+            plane: i % 2,
+            payload,
+            inject_at: Time::ZERO,
+        })
+        .collect();
+    let r = RouteSim::new(&Topology::two_nodes())
+        .run_resilient(&worms, &plan, &ResilienceConfig::default())
+        .expect("the plan names two_nodes links");
+    r.stats.delivered_bytes as f64 / r.finished_at.as_secs_f64() / 1e6
 }
 
 /// X11: EARTH-style split-phase multithreading — remote-operation

@@ -7,8 +7,8 @@
 //! the whole machine. [`collect_metrics`] drives one deterministic
 //! scenario through each substrate — SMP memory traffic, an NI stream
 //! against the stop wire, dispatcher tag pressure, conflicting crossbar
-//! routes, a backpressured worm, mesh rerouting around a dead link, and
-//! a faulty reliable transport — and harvests everything it touched.
+//! routes, a backpressured worm, a mesh connection, and the self-healing
+//! loop under faults — and harvests everything it touched.
 //!
 //! The pass is seeded and single-threaded, so the resulting registry is
 //! bit-stable across runs: `figures --metrics` golden-diffs its CSV in
@@ -18,11 +18,11 @@
 //! pins.
 
 use crate::systems;
-use pm_comm::reliable::ResilientNetwork;
 use pm_isa::TraceBuilder;
 use pm_net::fault::{FaultPlan, LinkRef};
 use pm_net::mesh::{Mesh, MeshConfig};
 use pm_net::network::{Network, RouteBackpressure};
+use pm_net::routesim::{ResilienceConfig, RouteSim, Worm, WormOutcome};
 use pm_net::topology::Topology;
 use pm_node::dispatcher::{Dispatcher, DispatcherConfig, TransactionKind};
 use pm_node::ni::{NiConfig, NiDirection};
@@ -158,45 +158,47 @@ fn network_section(reg: &mut MetricRegistry, quick: bool) {
     net.publish_metrics(reg, "net");
 }
 
-/// `mesh/...`: the 4x4 design-study mesh detours around a dead link.
-/// The transfer outcome publishes under its own `mesh/conn0` subtree:
-/// outcomes carry a `rerouted` flag that recounts the same detours the
-/// mesh's own `mesh/reroutes` ledger records, and sharing one path
-/// would double-count them instead of letting the scenario test assert
-/// the two sources reconcile bit-exactly.
+/// `mesh/...`: one connection across the 4x4 design-study mesh; its
+/// outcome lands under the same prefix as the mesh's own counters.
 fn mesh_section(reg: &mut MetricRegistry) {
     let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
-    mesh.fail_link(1, 2);
-    let mut c = mesh.open(0, 3, Time::ZERO).expect("detour exists");
+    let mut c = mesh.open(0, 3, Time::ZERO).expect("idle mesh");
     let o = c.transfer(c.ready_at(), 4096);
-    o.publish(reg, "mesh/conn0");
+    o.publish(reg, "mesh");
     c.close(&mut mesh, o.finished);
     mesh.publish_metrics(reg, "mesh");
 }
 
-/// `comm/...`: the reliable transport under a seeded fault plan — CRC
-/// retransmissions plus a mid-run plane death that forces failover.
+/// `comm/...`: the self-healing loop under a seeded fault plan — CRC
+/// retransmissions plus a plane-0 death mid-stream that forces
+/// failover. Node 0 queues one stream on each link interface at t = 0;
+/// every delivered worm's outcome lands under `comm`, the run's
+/// conservation ledger under `comm/faults`.
 fn comm_section(reg: &mut MetricRegistry, quick: bool) {
     let (messages, payload) = if quick { (8, 2048) } else { (32, 8192) };
     let plan = FaultPlan::clean(0x0B5E)
         .with_transient_rate(0.2)
         .expect("rate in range")
         .kill_link(
-            Time::from_ps(200_000_000),
+            Time::from_ps(100_000_000),
             LinkRef::NodeLink { node: 0, plane: 0 },
         );
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
-    let mut buf = vec![0u8; payload];
-    let mut t = Time::ZERO;
-    for i in 0..messages {
-        buf[0] = i as u8;
-        let d = rn
-            .send(0, 1, (i % 2) as u32, t, &buf)
-            .expect("a plane survives");
-        t = d.finished;
+    let worms: Vec<Worm> = (0..messages)
+        .map(|i| Worm {
+            src: 0,
+            dst: 1,
+            plane: i % 2,
+            payload,
+            inject_at: Time::ZERO,
+        })
+        .collect();
+    let r = RouteSim::new(&Topology::two_nodes())
+        .run_resilient(&worms, &plan, &ResilienceConfig::default())
+        .expect("the plan names two_nodes links");
+    for d in r.outcomes.iter().filter_map(WormOutcome::delivered) {
         d.publish(reg, "comm");
     }
-    rn.publish_metrics(reg, "comm");
+    r.stats.publish(reg, "comm/faults");
 }
 
 #[cfg(test)]
@@ -224,7 +226,7 @@ mod tests {
             "net/stalled_bytes",
             "net/xbar0/routes",
             "mesh/opens",
-            "comm/faults/messages",
+            "comm/faults/offered",
             "comm/transfers",
         ] {
             assert!(
@@ -245,15 +247,16 @@ mod tests {
         assert!(reg.counter_value("node0/ni/tx/stop_stalls").unwrap() > 0);
         // Tag pressure stalled dispatcher grants.
         assert!(reg.counter_value("node0/dispatcher/tag_stalls").unwrap() > 0);
-        // The mesh detoured — and the per-connection outcome recount
-        // agrees with the mesh's own ledger.
-        assert_eq!(reg.counter_value("mesh/reroutes"), Some(1));
-        assert_eq!(
-            reg.counter_value("mesh/conn0/reroutes"),
-            reg.counter_value("mesh/reroutes"),
-        );
-        // The fault plan corrupted at least one message and killed a link.
-        assert!(reg.counter_value("comm/faults/crc_failures").unwrap() > 0);
+        // The fault plan corrupted at least one worm and killed a link
+        // under a streaming worm, whose retransmission failed over.
+        assert!(reg.counter_value("comm/faults/corrupted").unwrap() > 0);
         assert_eq!(reg.counter_value("comm/faults/link_downs"), Some(1));
+        assert_eq!(reg.counter_value("comm/faults/severed"), Some(1));
+        assert!(reg.counter_value("comm/failovers").unwrap() > 0);
+        // Nothing was lost: every offered byte was delivered.
+        assert_eq!(
+            reg.counter_value("comm/faults/delivered_bytes"),
+            reg.counter_value("comm/faults/offered_bytes"),
+        );
     }
 }

@@ -370,10 +370,10 @@ impl Fabric {
                 .open_with_failover(src as usize, dst as usize, plane, t)
                 .ok()
                 .map(|(c, fo)| (Conn::Xbar(c), fo.failed_over, fo.rerouted)),
-            Fabric::Mesh(mesh) => mesh.open(src, dst, t).ok().map(|c| {
-                let rerouted = c.rerouted();
-                (Conn::Mesh(c), false, rerouted)
-            }),
+            Fabric::Mesh(mesh) => mesh
+                .open(src, dst, t)
+                .ok()
+                .map(|c| (Conn::Mesh(c), false, false)),
         }
     }
 
@@ -419,8 +419,7 @@ impl Conn {
 }
 
 /// Transmission attempts per message before the corrupted message is
-/// given up on (matches the reliable transport's spirit without its
-/// per-message CRC machinery).
+/// given up on.
 const MAX_ATTEMPTS: u32 = 3;
 
 /// Drives one offered-load point through the fabric and returns the

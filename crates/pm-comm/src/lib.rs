@@ -16,9 +16,10 @@
 //! * [`baselines`] — calibrated LogGP-style models of BIP and FM on the
 //!   Myrinet/PentiumPro cluster the paper compares against (its own
 //!   numbers are quoted from the literature, so ours are too).
-//! * [`reliable`] — the recovery tiers over the CRC:
-//!   [`reliable::ResilientNetwork`] drives capped retransmission, plane
-//!   failover and fault accounting over multi-hop routes.
+//!
+//! Recovery from link faults — retransmission of CRC-rejected or
+//! severed worms and failover to the duplicated plane — lives in the
+//! route simulator's self-healing loop, `pm_net::routesim`.
 //!
 //! # Examples
 //!
@@ -38,11 +39,9 @@ pub mod driver;
 pub mod duplex;
 pub mod earth;
 pub mod mpi;
-pub mod reliable;
 
 pub use baselines::LoggpModel;
 pub use config::CommConfig;
 pub use duplex::{DuplexChannel, Message, RecvError};
 pub use earth::{EarthConfig, EarthRun};
 pub use mpi::MpiWorld;
-pub use reliable::{DeliveryError, ResilientNetwork, RetryPolicy};

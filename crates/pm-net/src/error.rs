@@ -1,10 +1,9 @@
 //! One error type to `?` across every network layer.
 //!
 //! Each layer keeps its own precise error ([`RouteError`],
-//! [`MeshError`], [`FaultPlanError`], and `pm_comm`'s `DeliveryError`),
-//! but callers composing layers — open a route, maybe fall back to the
-//! mesh, drive a fault plan, send reliably — want a single error type a
-//! `?` can land in. [`NetError`] is that sum: every layer error
+//! [`MeshError`], [`FaultPlanError`]), but callers composing layers —
+//! open a route, maybe fall back to the mesh, drive a fault plan — want
+//! a single error type a `?` can land in. [`NetError`] is that sum: every layer error
 //! converts into it with `From`, and it implements
 //! [`std::error::Error`] with [`Error::source`](std::error::Error::source)
 //! pointing back at the layer error where one exists.
@@ -12,7 +11,6 @@
 use crate::fault::FaultPlanError;
 use crate::mesh::MeshError;
 use crate::network::RouteError;
-use crate::topology::NodeId;
 
 /// Any failure the network substrate can report, across layers.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,21 +21,6 @@ pub enum NetError {
     Mesh(MeshError),
     /// A fault plan was malformed.
     FaultPlan(FaultPlanError),
-    /// A reliable send burned its whole retry budget (mirrors
-    /// `pm_comm::reliable::DeliveryError::AttemptsExhausted`; the
-    /// conversion lives in `pm_comm` because the source type does).
-    AttemptsExhausted {
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
-    /// A reliable send found no healthy path on either plane (mirrors
-    /// `pm_comm::reliable::DeliveryError::Unreachable`).
-    Unreachable {
-        /// Sending node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-    },
 }
 
 impl core::fmt::Display for NetError {
@@ -46,12 +29,6 @@ impl core::fmt::Display for NetError {
             NetError::Route(e) => write!(f, "route: {e}"),
             NetError::Mesh(e) => write!(f, "mesh: {e}"),
             NetError::FaultPlan(e) => write!(f, "fault plan: {e}"),
-            NetError::AttemptsExhausted { attempts } => {
-                write!(f, "delivery failed after {attempts} attempts")
-            }
-            NetError::Unreachable { src, dst } => {
-                write!(f, "no healthy path from node {src} to node {dst}")
-            }
         }
     }
 }
@@ -62,7 +39,6 @@ impl std::error::Error for NetError {
             NetError::Route(e) => Some(e),
             NetError::Mesh(e) => Some(e),
             NetError::FaultPlan(e) => Some(e),
-            NetError::AttemptsExhausted { .. } | NetError::Unreachable { .. } => None,
         }
     }
 }
@@ -110,14 +86,5 @@ mod tests {
         let e: NetError = FaultPlanError::InvalidRate(2.0).into();
         assert!(matches!(e, NetError::FaultPlan(_)));
         assert!(e.to_string().starts_with("fault plan: "));
-    }
-
-    #[test]
-    fn terminal_variants_have_no_source() {
-        let e = NetError::AttemptsExhausted { attempts: 16 };
-        assert!(e.source().is_none());
-        assert_eq!(e.to_string(), "delivery failed after 16 attempts");
-        let u = NetError::Unreachable { src: 0, dst: 9 };
-        assert_eq!(u.to_string(), "no healthy path from node 0 to node 9");
     }
 }

@@ -11,14 +11,15 @@
 //! the same recovery trace, so every degradation curve is reproducible
 //! bit-for-bit.
 //!
-//! Recovery lives one layer up, where both the network and the CRC are
-//! visible (`pm_comm::reliable::ResilientNetwork` — pm-net cannot depend
-//! on pm-node): tier 1 retransmits CRC-failed messages with capped
-//! attempts and exponential backoff, tier 2 fails over to the secondary
-//! network plane ([`crate::network::Network::open_with_failover`]),
-//! tier 3 reroutes meshes around dead links
-//! ([`crate::mesh::Mesh::fail_link`]). [`FaultStats`] counts what each
-//! tier absorbed.
+//! One loop recovers from these faults:
+//! [`crate::routesim::RouteSim::run_resilient`] retransmits CRC-rejected
+//! and severed worms under capped, jittered backoff and fails over to
+//! the duplicated plane, learning dead links from symptoms in per-source
+//! [`crate::health::HealthTable`]s; its
+//! [`crate::routesim::ResilienceStats`] ledger counts what it absorbed.
+//! X12's connection-level crossbar series is the one exception: it
+//! applies the plan's deaths to a [`crate::network::Network`] and opens
+//! with [`crate::network::Network::open_with_failover`].
 
 use crate::topology::{Endpoint, LinkKey, NodeId, Topology, XbarId};
 use pm_sim::rng::SimRng;
@@ -353,64 +354,6 @@ impl TransientInjector {
     }
 }
 
-/// What the recovery tiers did for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages handed to the transport.
-    pub messages: u64,
-    /// Wire transmissions (first attempts + retransmissions).
-    pub transmissions: u64,
-    /// CRC failures detected at route endpoints (tier 1 recoveries).
-    pub crc_failures: u64,
-    /// Opens served by the non-preferred plane because the preferred one
-    /// had no healthy route (tier 2 recoveries).
-    pub failovers: u64,
-    /// Opens whose plane was kept but whose route detoured around a dead
-    /// link (tier 2/3 recoveries).
-    pub reroutes: u64,
-    /// Scheduled link-down events applied so far.
-    pub link_downs: u64,
-    /// Transfers severed mid-flight by a link death (their tail never
-    /// arrived; retransmitted).
-    pub severed: u64,
-    /// Payload bytes delivered intact (goodput numerator).
-    pub delivered_bytes: u64,
-    /// Messages abandoned after the retry cap.
-    pub retries_exhausted: u64,
-}
-
-impl FaultStats {
-    /// Goodput in Mbyte/s over `elapsed`: intact payload only — headers,
-    /// CRC trailers and every retransmission are overhead.
-    pub fn goodput_mbs(&self, elapsed: Duration) -> f64 {
-        if elapsed == Duration::ZERO {
-            return 0.0;
-        }
-        self.delivered_bytes as f64 / elapsed.as_secs_f64() / 1e6
-    }
-
-    /// Publishes every field as a counter under `prefix`
-    /// (`{prefix}/messages`, `{prefix}/transmissions`, …,
-    /// `{prefix}/delivered_bytes`, `{prefix}/retries_exhausted`). The
-    /// registry-side goodput reconciliation divides
-    /// `{prefix}/delivered_bytes` by the experiment's elapsed time,
-    /// which is exactly [`FaultStats::goodput_mbs`].
-    pub fn publish(&self, reg: &mut pm_sim::metrics::MetricRegistry, prefix: &str) {
-        reg.count(&format!("{prefix}/messages"), self.messages);
-        reg.count(&format!("{prefix}/transmissions"), self.transmissions);
-        reg.count(&format!("{prefix}/crc_failures"), self.crc_failures);
-        reg.count(&format!("{prefix}/failovers"), self.failovers);
-        reg.count(&format!("{prefix}/reroutes"), self.reroutes);
-        reg.count(&format!("{prefix}/link_downs"), self.link_downs);
-        reg.count(&format!("{prefix}/severed"), self.severed);
-        reg.count(&format!("{prefix}/delivered_bytes"), self.delivered_bytes);
-        reg.count(
-            &format!("{prefix}/retries_exhausted"),
-            self.retries_exhausted,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,16 +507,5 @@ mod tests {
         let plan = plan.repair_link(Time::from_ps(4_000), l1);
         let ats: Vec<u64> = plan.repairs().iter().map(|r| r.at.as_ps()).collect();
         assert_eq!(ats, vec![1_500, 4_000, 9_500]);
-    }
-
-    #[test]
-    fn goodput_accounts_only_delivered_bytes() {
-        let stats = FaultStats {
-            delivered_bytes: 60_000_000,
-            ..FaultStats::default()
-        };
-        let g = stats.goodput_mbs(Duration::from_ms(1000));
-        assert!((g - 60.0).abs() < 1e-9, "goodput {g}");
-        assert_eq!(stats.goodput_mbs(Duration::ZERO), 0.0);
     }
 }

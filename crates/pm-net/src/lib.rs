@@ -16,14 +16,16 @@
 //!   wormhole connection, stream bytes at link rate, close.
 //! * [`routesim`] — flit-level wormhole simulation of whole routes
 //!   (up to three crossbars) with oblivious or adaptive path choice,
-//!   scaled for 1000+ simultaneous worms on the 1024-node hierarchy.
+//!   scaled for 1000+ simultaneous worms on the 1024-node hierarchy,
+//!   and the one self-healing loop: retransmission, plane failover and
+//!   symptom-driven route-around under a fault plan.
 //! * [`fault`] — seeded, deterministic fault plans: transient flit
 //!   corruption, scheduled permanent link deaths and scheduled
-//!   repairs, driving the duplicated-network failover in [`network`],
-//!   the rerouting in [`mesh`], and the self-healing loop in
-//!   [`routesim`].
-//! * [`backoff`] — the capped exponential retry backoff, optionally
-//!   jittered, shared by every retransmitting layer.
+//!   repairs, driving the self-healing loop in [`routesim`] (and the
+//!   oracle plane failover in [`network`] that X12's crossbar series
+//!   uses).
+//! * [`backoff`] — the capped exponential retry backoff with
+//!   deterministic jitter that [`routesim`] retransmits under.
 //! * [`health`] — per-source online link-health tables: quarantine
 //!   learned from failed opens and delivery timeouts only (no oracle),
 //!   escalating windows, re-probe and reinstatement.
@@ -61,9 +63,7 @@ pub mod wire;
 pub use backoff::RetryPolicy;
 pub use crossbar::{Crossbar, CrossbarConfig};
 pub use error::NetError;
-pub use fault::{
-    FaultPlan, FaultPlanError, FaultStats, LinkDown, LinkRef, LinkRepair, TransientInjector,
-};
+pub use fault::{FaultPlan, FaultPlanError, LinkDown, LinkRef, LinkRepair, TransientInjector};
 pub use fifo::TimedFifo;
 pub use flitsim::{FlitSimResult, Packet};
 pub use health::{HealthConfig, HealthTable};

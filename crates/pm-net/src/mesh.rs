@@ -10,7 +10,7 @@
 //! wormhole routing, with an established connection holding *every*
 //! directed link on its path until close — which is exactly why long
 //! mesh paths block each other so much more than single-stage crossbar
-//! routes do. Experiment X5 runs the same traffic through both.
+//! routes do. Experiment X6 runs the same traffic through both.
 
 use crate::network::RouteBackpressure;
 use crate::outcome::TransferOutcome;
@@ -77,14 +77,6 @@ pub enum MeshError {
         /// Downstream node of the held directed link.
         to: u32,
     },
-    /// Dead links ([`Mesh::fail_link`]) partition the mesh: no sequence
-    /// of healthy links connects the nodes at all.
-    Unreachable {
-        /// Source of the impossible connection.
-        src: u32,
-        /// Destination of the impossible connection.
-        dst: u32,
-    },
 }
 
 impl core::fmt::Display for MeshError {
@@ -101,9 +93,6 @@ impl core::fmt::Display for MeshError {
                     f,
                     "link {from}->{to} held by an open connection; record its close first"
                 )
-            }
-            MeshError::Unreachable { src, dst } => {
-                write!(f, "dead links leave no path from {src} to {dst}")
             }
         }
     }
@@ -125,10 +114,6 @@ pub struct MeshConnection {
     ready_at: Time,
     byte_time: Duration,
     head_latency: Duration,
-    /// Whether the open abandoned the XY path for a BFS detour. Stamped
-    /// into every [`TransferOutcome`] so a recount of published
-    /// outcomes reconciles bit-exact with [`Mesh::reroutes`].
-    rerouted: bool,
     closed: bool,
     bytes: u64,
 }
@@ -154,13 +139,8 @@ pub struct Mesh {
     /// never hashes and iteration order cannot leak into a
     /// deterministic simulation.
     free_at: Vec<Time>,
-    /// Per directed link: permanently failed. XY routing detours around
-    /// dead links ([`Mesh::fail_link`]); a partition is
-    /// [`MeshError::Unreachable`].
-    dead: Vec<bool>,
     conflicts: u64,
     opens: u64,
-    reroutes: u64,
 }
 
 impl Mesh {
@@ -168,11 +148,9 @@ impl Mesh {
     pub fn new(config: MeshConfig) -> Self {
         Mesh {
             free_at: vec![Time::ZERO; config.nodes() as usize * 4],
-            dead: vec![false; config.nodes() as usize * 4],
             config,
             conflicts: 0,
             opens: 0,
-            reroutes: 0,
         }
     }
 
@@ -232,81 +210,6 @@ impl Mesh {
         self.xy_path(src, dst).len() as u32
     }
 
-    /// Marks the physical link between adjacent nodes `a` and `b`
-    /// permanently dead, both directions — a cut cable, not a jammed
-    /// router port. Opens from then on route around it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the nodes are out of range or not mesh neighbours.
-    pub fn fail_link(&mut self, a: u32, b: u32) {
-        let (nodes, w) = (self.config.nodes(), self.config.width);
-        assert!(a < nodes && b < nodes, "node out of range");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let adjacent = (hi == lo + 1 && hi % w != 0) || hi == lo + w;
-        assert!(adjacent, "nodes {a} and {b} are not mesh neighbours");
-        for link in [LinkId { from: a, to: b }, LinkId { from: b, to: a }] {
-            let idx = self.link_index(link);
-            self.dead[idx] = true;
-        }
-    }
-
-    /// Number of dead directed links.
-    pub fn dead_links(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
-    }
-
-    /// Opens that abandoned the XY path for a detour around dead links.
-    pub fn reroutes(&self) -> u64 {
-        self.reroutes
-    }
-
-    /// Whether `path` crosses a dead link.
-    fn path_is_dead(&self, path: &[LinkId]) -> bool {
-        path.iter().any(|&l| self.dead[self.link_index(l)])
-    }
-
-    /// Shortest healthy path by BFS over nodes, expanding neighbours in
-    /// the fixed order E, W, S, N so detours are deterministic. Returns
-    /// `None` when dead links partition the pair.
-    fn bfs_path(&self, src: u32, dst: u32) -> Option<Vec<LinkId>> {
-        let (nodes, w) = (self.config.nodes(), self.config.width);
-        let mut prev: Vec<Option<u32>> = vec![None; nodes as usize];
-        let mut queue = std::collections::VecDeque::new();
-        prev[src as usize] = Some(src);
-        queue.push_back(src);
-        'search: while let Some(cur) = queue.pop_front() {
-            let east = (cur % w + 1 < w).then(|| cur + 1);
-            let west = (cur % w > 0).then(|| cur - 1);
-            let south = (cur + w < nodes).then(|| cur + w);
-            let north = (cur >= w).then(|| cur - w);
-            for next in [east, west, south, north].into_iter().flatten() {
-                let link = LinkId {
-                    from: cur,
-                    to: next,
-                };
-                if self.dead[self.link_index(link)] || prev[next as usize].is_some() {
-                    continue;
-                }
-                prev[next as usize] = Some(cur);
-                if next == dst {
-                    break 'search;
-                }
-                queue.push_back(next);
-            }
-        }
-        prev[dst as usize]?;
-        let mut path = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let p = prev[cur as usize].expect("reconstruction follows visited nodes");
-            path.push(LinkId { from: p, to: cur });
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
-
     /// Opens a wormhole connection at `t`, claiming every link on the XY
     /// path (in order — the worm advances hop by hop, waiting at each
     /// held link until its recorded release).
@@ -314,10 +217,8 @@ impl Mesh {
     /// # Errors
     ///
     /// Returns [`MeshError`] when a node id is out of range, when
-    /// `src == dst`, when dead links leave no path at all
-    /// ([`MeshError::Unreachable`]), or when a link on the path is held
-    /// by a connection whose close has not been recorded (no finite
-    /// wait clears it).
+    /// `src == dst`, or when a link on the path is held by a connection
+    /// whose close has not been recorded (no finite wait clears it).
     pub fn open(&mut self, src: u32, dst: u32, t: Time) -> Result<MeshConnection, MeshError> {
         let nodes = self.config.nodes();
         for node in [src, dst] {
@@ -328,14 +229,7 @@ impl Mesh {
         if src == dst {
             return Err(MeshError::SelfConnection { node: src });
         }
-        let mut path = self.xy_path(src, dst);
-        let mut rerouted = false;
-        if self.path_is_dead(&path) {
-            path = self
-                .bfs_path(src, dst)
-                .ok_or(MeshError::Unreachable { src, dst })?;
-            rerouted = true;
-        }
+        let path = self.xy_path(src, dst);
         let mut cursor = t;
         let mut claimed: Vec<(usize, Time)> = Vec::with_capacity(path.len());
         for link in &path {
@@ -362,18 +256,11 @@ impl Mesh {
             self.free_at[idx] = Time::MAX;
         }
         self.opens += 1;
-        // Count the detour only now that the open has succeeded: an open
-        // that dies on a held link mid-claim produced no rerouted
-        // connection, and counting it would drift `reroutes()` away from
-        // the recount of per-connection outcomes (see
-        // `tests/observability.rs`).
-        self.reroutes += u64::from(rerouted);
         let head_latency = self.config.wire.latency * path.len() as u64;
         Ok(MeshConnection {
             ready_at: cursor,
             byte_time: self.config.wire.byte_time,
             head_latency,
-            rerouted,
             path,
             closed: false,
             bytes: 0,
@@ -391,13 +278,10 @@ impl Mesh {
     }
 
     /// Publishes the mesh's counters under `prefix`:
-    /// `{prefix}/opens`, `{prefix}/conflicts`, `{prefix}/reroutes` and
-    /// `{prefix}/dead_links`.
+    /// `{prefix}/opens` and `{prefix}/conflicts`.
     pub fn publish_metrics(&self, reg: &mut MetricRegistry, prefix: &str) {
         reg.count(&format!("{prefix}/opens"), self.opens);
         reg.count(&format!("{prefix}/conflicts"), self.conflicts);
-        reg.count(&format!("{prefix}/reroutes"), self.reroutes);
-        reg.count(&format!("{prefix}/dead_links"), self.dead_links() as u64);
     }
 }
 
@@ -412,12 +296,6 @@ impl MeshConnection {
         self.path.len()
     }
 
-    /// Whether the open abandoned the XY path for a BFS detour around
-    /// dead links.
-    pub fn rerouted(&self) -> bool {
-        self.rerouted
-    }
-
     /// Streams `bytes` starting at `start`; the returned
     /// [`TransferOutcome::finished`] is the last-byte arrival. The mesh
     /// has a single plane, reported as plane 0.
@@ -430,14 +308,12 @@ impl MeshConnection {
         let begin = start.max(self.ready_at);
         self.bytes += bytes;
         let source_released = begin + self.byte_time * bytes;
-        let mut outcome = TransferOutcome::streamed(
+        TransferOutcome::streamed(
             source_released + self.head_latency,
             source_released,
             bytes,
             0,
-        );
-        outcome.rerouted = self.rerouted;
-        outcome
+        )
     }
 
     /// Streams `bytes` under end-to-end stop-wire flow control: every
@@ -462,7 +338,6 @@ impl MeshConnection {
         self.bytes += bytes;
         if bytes == 0 {
             let mut outcome = TransferOutcome::streamed(begin + self.head_latency, begin, 0, 0);
-            outcome.rerouted = self.rerouted;
             outcome.per_segment = vec![StopWireStats::default(); self.path.len()];
             return outcome;
         }
@@ -476,7 +351,6 @@ impl MeshConnection {
             bytes,
             0,
         );
-        outcome.rerouted = self.rerouted;
         outcome.stop_transitions = flow.stop_transitions;
         outcome.stalled_ticks = flow.stalled_ticks;
         outcome.per_segment = flow.per_segment;
@@ -664,73 +538,6 @@ mod tests {
             mesh_finish > xb_finish,
             "mesh makespan {mesh_finish} should exceed crossbar {xb_finish}"
         );
-    }
-
-    #[test]
-    fn dead_link_forces_a_detour() {
-        let mut m = mesh4x4();
-        // Kill 1->2 on the row 0 XY path from 0 to 3.
-        m.fail_link(1, 2);
-        assert_eq!(m.dead_links(), 2, "both directions die");
-        let c = m.open(0, 3, Time::ZERO).unwrap();
-        // Shortest healthy detour drops one row and comes back: 5 hops.
-        assert_eq!(c.hops(), 5);
-        assert_eq!(m.reroutes(), 1);
-        // The detour claims real links: a clash on the dodge row counts.
-        let err = m.open(4, 7, Time::ZERO);
-        assert!(err.is_err() || m.conflicts() > 0);
-    }
-
-    #[test]
-    fn detour_is_deterministic() {
-        let path_of = || {
-            let mut m = mesh4x4();
-            m.fail_link(1, 2);
-            m.open(0, 3, Time::ZERO).unwrap().path.clone()
-        };
-        assert_eq!(path_of(), path_of());
-    }
-
-    #[test]
-    fn healthy_mesh_never_reroutes() {
-        let mut m = mesh4x4();
-        let mut c = m.open(0, 15, Time::ZERO).unwrap();
-        let done = c.transfer(c.ready_at(), 128).finished;
-        c.close(&mut m, done);
-        assert_eq!(m.reroutes(), 0);
-        assert_eq!(m.dead_links(), 0);
-        let mut reg = MetricRegistry::new();
-        m.publish_metrics(&mut reg, "mesh");
-        assert_eq!(reg.counter_value("mesh/opens"), Some(1));
-        assert_eq!(reg.counter_value("mesh/reroutes"), Some(0));
-    }
-
-    #[test]
-    fn full_column_cut_is_unreachable() {
-        let mut m = mesh4x4();
-        // Sever every link between columns 1 and 2.
-        for row in 0..4 {
-            m.fail_link(row * 4 + 1, row * 4 + 2);
-        }
-        assert_eq!(
-            m.open(0, 3, Time::ZERO).unwrap_err(),
-            MeshError::Unreachable { src: 0, dst: 3 }
-        );
-        // Connections within one side still work.
-        assert!(m.open(0, 5, Time::ZERO).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "not mesh neighbours")]
-    fn fail_link_rejects_non_neighbours() {
-        mesh4x4().fail_link(0, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "not mesh neighbours")]
-    fn fail_link_rejects_row_wrap() {
-        // 3 and 4 are adjacent ids but on different rows.
-        mesh4x4().fail_link(3, 4);
     }
 
     #[test]

@@ -161,22 +161,13 @@ impl Network {
         &self.crossbars[id]
     }
 
-    /// Resolves a fault-plan [`LinkRef`] to the canonical key of the
-    /// physical link it names, or `None` if no such link exists.
-    pub fn link_key(&self, link: LinkRef) -> Option<LinkKey> {
-        match link {
-            LinkRef::NodeLink { node, plane } => self.topology.node_link_key(node, plane),
-            LinkRef::XbarPort { xbar, port } => self.topology.canonical_link_key(xbar, port),
-        }
-    }
-
     /// Marks a link permanently dead. Routing immediately stops using
     /// it; connections already open keep their (now fictional) claim
     /// until closed — the caller decides whether in-flight worms were
     /// severed. Returns the canonical key, or `None` if the reference
     /// names no connected link.
     pub fn fail_link(&mut self, link: LinkRef) -> Option<LinkKey> {
-        let key = self.link_key(link)?;
+        let key = link.key(&self.topology)?;
         self.dead_links.insert(key);
         Some(key)
     }
@@ -184,11 +175,6 @@ impl Network {
     /// Number of dead links.
     pub fn dead_links(&self) -> usize {
         self.dead_links.len()
-    }
-
-    /// Whether the link with canonical key `key` is dead.
-    pub fn is_link_dead(&self, key: LinkKey) -> bool {
-        self.dead_links.contains(&key)
     }
 
     /// Publishes crossbar route/conflict counters and the dead-link

@@ -5,16 +5,18 @@
 //! `RouteTransferStats`, reliable sends a `Delivery` — and every caller
 //! that wanted end-to-end accounting had to stitch them together by
 //! hand. [`TransferOutcome`] is the union: finish times, byte counts,
-//! per-segment stop-wire stalls, and the fault/retry story of reliable
-//! transports, in one comparable value returned by
+//! per-segment stop-wire stalls, and the fault/retry story of the
+//! self-healing loop, in one comparable value returned by
 //! [`crate::network::Connection::transfer`]/[`transfer_backpressured`](crate::network::Connection::transfer_backpressured),
 //! [`crate::mesh::MeshConnection::transfer`]/[`transfer_backpressured`](crate::mesh::MeshConnection::transfer_backpressured)
-//! and `pm_comm::reliable::ResilientNetwork::send`.
+//! and carried by every delivered
+//! [`crate::routesim::WormOutcome`] of
+//! [`crate::routesim::RouteSim::run_resilient`].
 //!
 //! Layers fill in what they know and leave the rest at the documented
-//! defaults: a plain crossbar transfer has one attempt, no stalls and
-//! no CRC; a reliable send adds attempts/faults on top of its final
-//! successful wire transfer.
+//! defaults: a plain crossbar transfer has one attempt and no stalls;
+//! a resilient run adds attempts/faults on top of its final successful
+//! transmission.
 
 use crate::stopwire::StopWireStats;
 use pm_sim::metrics::{MetricId, MetricRegistry};
@@ -23,17 +25,15 @@ use pm_sim::time::Time;
 /// What one transfer did, across every layer that touched it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransferOutcome {
-    /// When the last payload byte (reliable sends: the software
-    /// receive) completed at the destination.
+    /// When the last payload byte completed at the destination.
     pub finished: Time,
     /// When the worm's tail left the source link: the source NI is free
     /// from here on even though bytes may still sit in downstream
     /// FIFOs. Equal to `finished` minus the head latency for
     /// unobstructed streams.
     pub source_released: Time,
-    /// Payload bytes the caller asked to move (reliable sends: payload
-    /// delivered intact, excluding the CRC trailer and retransmitted
-    /// copies).
+    /// Payload bytes the caller asked to move (resilient runs: payload
+    /// delivered intact, excluding retransmitted copies).
     pub bytes: u64,
     /// Total *stop* assertions over every route segment.
     pub stop_transitions: u64,
@@ -58,8 +58,9 @@ pub struct TransferOutcome {
     /// Whether the carrying route detoured around a dead link within
     /// its plane.
     pub rerouted: bool,
-    /// The verified CRC-16 of the delivered message, for transports
-    /// that check one (`None` below the reliability layer).
+    /// The verified CRC-16 of the delivered message. Always `None`: no
+    /// transport carries payload contents. pmbench's route digest still
+    /// hashes it, so it goes with the next change to the benchmark.
     pub crc: Option<u16>,
 }
 

@@ -62,7 +62,8 @@ pub struct Worm {
     pub src: NodeId,
     /// Destination node.
     pub dst: NodeId,
-    /// Network plane (0 or 1).
+    /// Preferred network plane (0 or 1): the link interface, and so
+    /// the source lane, the worm queues on.
     pub plane: u32,
     /// Payload bytes (excluding route and close bytes).
     pub payload: u32,
@@ -175,8 +176,8 @@ pub struct ResilienceConfig {
     pub policy: RoutePolicy,
     /// Oracle or detected failover (see [`FailoverMode`]).
     pub failover: FailoverMode,
-    /// Retransmission attempts and backoff jitter; the worm index is
-    /// the jitter salt.
+    /// Retransmission attempts and backoff; the worm index is the
+    /// jitter salt.
     pub retry: RetryPolicy,
     /// How long the source waits for the route-byte acknowledgement of
     /// a hop before declaring the open failed.
@@ -195,12 +196,7 @@ impl Default for ResilienceConfig {
         ResilienceConfig {
             policy: RoutePolicy::Adaptive,
             failover: FailoverMode::Detected,
-            retry: RetryPolicy {
-                max_attempts: 16,
-                initial_backoff: Duration::from_us(2),
-                max_backoff: Duration::from_us(256),
-                jitter: Some(0x5EED),
-            },
+            retry: RetryPolicy::default(),
             open_timeout: Duration::from_us(5),
             sever_timeout: Duration::from_us(20),
             health: HealthConfig::default(),
@@ -508,9 +504,10 @@ pub struct RouteSim {
     /// Per global output port: worm indices blocked on it, FIFO. Every
     /// blocked worm sits in exactly one of these queues.
     waiters: Vec<VecDeque<u32>>,
-    /// Per source node: worms queued behind the busy link interface.
+    /// Per source lane: worms queued behind the busy link interface.
+    /// Indexed by [`RouteSim::lane`]: plane 0's lanes, then plane 1's.
     src_queue: Vec<VecDeque<u32>>,
-    /// Per source node: a worm currently owns the link interface.
+    /// Per source lane: a worm currently owns the link interface.
     src_busy: Vec<bool>,
     /// Completions, retries, faults and watchdog scans.
     events: EventQueue<Event>,
@@ -595,8 +592,8 @@ impl RouteSim {
             arena: Vec::new(),
             worms: Vec::new(),
             waiters: vec![VecDeque::new(); total_ports],
-            src_queue: vec![VecDeque::new(); nodes],
-            src_busy: vec![false; nodes],
+            src_queue: vec![VecDeque::new(); nodes * 2],
+            src_busy: vec![false; nodes * 2],
             events: EventQueue::new(),
             order: Vec::new(),
             cand_hops: Vec::new(),
@@ -703,7 +700,8 @@ impl RouteSim {
     ///
     /// # Panics
     ///
-    /// Panics if a worm references a node or plane the topology does
+    /// Panics if a worm names a plane other than 0 or 1 (a node has two
+    /// link interfaces), references a node or plane the topology does
     /// not attach, if no path exists, or if the topology's port
     /// acquisition order admits a hold-and-wait cycle (wormhole
     /// deadlock — impossible on the hierarchical configurations).
@@ -741,7 +739,8 @@ impl RouteSim {
     ///
     /// # Panics
     ///
-    /// Panics on unattached worm endpoints, as [`RouteSim::run`] does.
+    /// Panics on a plane other than 0 or 1 and on unattached worm
+    /// endpoints, as [`RouteSim::run`] does.
     pub fn run_resilient(
         &mut self,
         worms: &[Worm],
@@ -803,10 +802,10 @@ impl RouteSim {
                 self.on_event(worms, ev, now, cfg);
             } else {
                 cursor += 1;
-                let src = worms[w].src;
-                self.src_queue[src].push_back(w as u32);
-                if !self.src_busy[src] {
-                    self.start_next(worms, src, at, cfg);
+                let lane = self.lane(&worms[w]);
+                self.src_queue[lane].push_back(w as u32);
+                if !self.src_busy[lane] {
+                    self.start_next(worms, lane, at, cfg);
                 }
             }
         }
@@ -823,7 +822,8 @@ impl RouteSim {
     ///
     /// # Panics
     ///
-    /// Panics if the batch holds more than `u32::MAX` worms.
+    /// Panics if the batch holds more than `u32::MAX` worms, or if a
+    /// worm names a plane other than 0 or 1.
     fn reset(
         &mut self,
         worms: &[Worm],
@@ -832,6 +832,12 @@ impl RouteSim {
         watchdog: bool,
     ) -> Result<(), FaultPlanError> {
         let n = u32::try_from(worms.len()).expect("at most u32::MAX worms per batch");
+        if let Some(w) = worms.iter().find(|w| w.plane > 1) {
+            panic!(
+                "worm plane {} is neither 0 nor 1: a node has two link interfaces",
+                w.plane
+            );
+        }
         self.fault_sched.clear();
         for d in plan.schedule() {
             let key = self
@@ -899,6 +905,14 @@ impl RouteSim {
         &self.health[src]
     }
 
+    /// The source lane a worm queues on: one per (preferred plane,
+    /// node), the node's two link interfaces. Plane-major, so a batch
+    /// on one plane touches one contiguous half. A worm keeps its lane
+    /// when it fails over to the other plane.
+    fn lane(&self, worm: &Worm) -> usize {
+        worm.plane as usize * (self.src_busy.len() / 2) + worm.src
+    }
+
     /// Resolves a fault-plan link reference against the compiled
     /// topology tables.
     fn resolve_link(&self, link: LinkRef) -> Option<LinkKey> {
@@ -943,12 +957,12 @@ impl RouteSim {
         }
     }
 
-    /// Starts the next queued worm at source `src`, if any.
-    fn start_next(&mut self, worms: &[Worm], src: NodeId, now: Time, cfg: &ResilienceConfig) {
-        let Some(w) = self.src_queue[src].pop_front() else {
+    /// Starts the next queued worm on source lane `lane`, if any.
+    fn start_next(&mut self, worms: &[Worm], lane: usize, now: Time, cfg: &ResilienceConfig) {
+        let Some(w) = self.src_queue[lane].pop_front() else {
             return;
         };
-        self.src_busy[src] = true;
+        self.src_busy[lane] = true;
         let w = w as usize;
         self.start_attempt(worms, w, now.max(worms[w].inject_at), cfg);
     }
@@ -1225,8 +1239,8 @@ impl RouteSim {
     }
 
     /// Spends the failed attempt: schedule a jittered-backoff retry, or
-    /// drop the worm if its attempts are exhausted (freeing the source
-    /// interface for its next queued worm).
+    /// drop the worm if its attempts are exhausted (freeing its source
+    /// lane for the next queued worm).
     fn retry_or_drop(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
         let attempts = self.worms[w].attempts;
         if attempts >= cfg.retry.max_attempts {
@@ -1234,9 +1248,9 @@ impl RouteSim {
             self.stats.dropped += 1;
             self.stats.dropped_bytes += u64::from(worms[w].payload);
             self.live -= 1;
-            let src = worms[w].src;
-            self.src_busy[src] = false;
-            self.start_next(worms, src, now, cfg);
+            let lane = self.lane(&worms[w]);
+            self.src_busy[lane] = false;
+            self.start_next(worms, lane, now, cfg);
         } else {
             self.worms[w].phase = Phase::Backoff;
             let gap = cfg.retry.gap_after(w as u64, attempts);
@@ -1250,7 +1264,7 @@ impl RouteSim {
     /// order, waking the longest-blocked waiter per freed port. The
     /// CRC trailer is checked at the destination: transient corruption
     /// rejects the delivery and the source retransmits; a delivery
-    /// frees the source link interface for its next queued worm.
+    /// frees the worm's source lane for its next queued worm.
     fn on_done(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
         let ws = self.worms[w];
         let payload = worms[w].payload;
@@ -1285,8 +1299,9 @@ impl RouteSim {
                 }
             }
         }
-        self.src_busy[src] = false;
-        self.start_next(worms, src, now, cfg);
+        let lane = self.lane(&worms[w]);
+        self.src_busy[lane] = false;
+        self.start_next(worms, lane, now, cfg);
     }
 
     /// Applies a scheduled physical link-state change. A death severs
@@ -1652,6 +1667,36 @@ mod tests {
         // the first completes, even though the adaptive policy could
         // have given it a network path disjoint from the first's.
         assert!(r.completions[1] > r.completions[0]);
+    }
+
+    #[test]
+    fn each_link_interface_is_its_own_source_lane() {
+        let mut s = RouteSim::new(&Topology::two_nodes());
+        let on = |plane| Worm {
+            src: 0,
+            dst: 1,
+            plane,
+            payload: 4096,
+            inject_at: Time::ZERO,
+        };
+        let lone = s.run(&[on(0)], RoutePolicy::Oblivious).completions[0];
+        // One worm per plane: the node's two link interfaces stream at
+        // once, so both finish at a lone worm's time.
+        let r = s.run(&[on(0), on(1)], RoutePolicy::Oblivious);
+        assert_eq!(r.completions, vec![lone, lone]);
+        // Two worms on one plane share its lane and serialise.
+        let r = s.run(&[on(0), on(0)], RoutePolicy::Oblivious);
+        assert_eq!(r.completions[0], lone);
+        assert!(r.completions[1] >= lone + lone.since(Time::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "worm plane 2 is neither 0 nor 1")]
+    fn a_third_plane_panics_at_reset() {
+        let (_, mut s) = sim128();
+        let mut w = worm(0, 1, 64, Time::ZERO);
+        w.plane = 2;
+        s.run(&[w], RoutePolicy::Oblivious);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Fault injection: corrupt flits, kill a network plane mid-run, and
-//! watch the recovery tiers (CRC retransmission, plane failover, mesh
-//! rerouting) deliver everything anyway.
+//! watch the self-healing loop (CRC retransmission, failover to the
+//! duplicated plane learned from symptoms) deliver everything anyway.
+//!
+//! Node 0 streams to node 1 on both of its link interfaces at once.
+//! The example asserts zero loss and in-order delivery per interface,
+//! so a recovery regression makes it exit non-zero.
 //!
 //! Run with:
 //! ```sh
 //! cargo run --release --example fault_injection
 //! ```
 
-use powermanna::comm::reliable::ResilientNetwork;
 use powermanna::net::fault::{FaultPlan, LinkRef};
-use powermanna::net::mesh::{Mesh, MeshConfig, MeshError};
-use powermanna::net::network::Network;
+use powermanna::net::routesim::{ResilienceConfig, RouteSim, Worm, WormOutcome};
 use powermanna::net::topology::Topology;
 use powermanna::sim::time::Time;
 
@@ -32,54 +34,51 @@ fn main() {
         plan.schedule().len()
     );
 
-    // --- 2. Resilient transport over the duplicated network --------------
-    // Tier 1: CRC-16 catches corrupted messages, capped retransmission
-    // with exponential backoff resends them. Tier 2: when the plane-0
-    // link dies, opens fail over to the secondary plane (240 -> 120
-    // Mbyte/s, but zero loss).
-    let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
-    let mut t = Time::ZERO;
-    for seq in 0..16u8 {
-        let payload = vec![seq; 8192];
-        let d = rn.send(0, 1, 0, t, &payload).expect("a plane survives");
+    // --- 2. Two streams, one per link interface ----------------------------
+    // Each worm queues on its preferred plane's link interface; both
+    // interfaces stream at once (2 x 60 Mbyte/s).
+    let worms: Vec<Worm> = (0..16)
+        .map(|i| Worm {
+            src: 0,
+            dst: 1,
+            plane: i % 2,
+            payload: 8192,
+            inject_at: Time::ZERO,
+        })
+        .collect();
+
+    // --- 3. The self-healing loop ------------------------------------------
+    // The CRC rejects corrupted worms and the source retransmits under
+    // jittered exponential backoff. When the plane-0 cable dies, the
+    // severed worm's delivery timeout quarantines the link in node 0's
+    // health table, and its lane fails over to plane 1 (half the
+    // aggregate bandwidth, but zero loss).
+    let r = RouteSim::new(&Topology::two_nodes())
+        .run_resilient(&worms, &plan, &ResilienceConfig::default())
+        .expect("the plan names two_nodes links");
+    let mut last = [Time::ZERO; 2];
+    for (i, (w, o)) in worms.iter().zip(&r.outcomes).enumerate() {
+        let WormOutcome::Delivered(d) = o else {
+            panic!("worm {i} was dropped: {o:?}");
+        };
         println!(
-            "  msg {seq:2}: delivered at {} on plane {} after {} attempt(s)",
-            d.finished, d.plane, d.attempts
+            "  worm {i:2} (lane {}): delivered at {} on plane {} after {} attempt(s)",
+            w.plane, d.finished, d.plane, d.attempts
         );
-        t = d.finished;
+        let lane = w.plane as usize;
+        assert!(d.finished > last[lane], "worm {i} overtook its lane");
+        last[lane] = d.finished;
     }
-    let s = rn.stats();
+    let s = r.stats;
     println!(
-        "stats: {} messages, {} transmissions, {} CRC failures, \
-         {} severed, {} failovers, {} link death(s) applied",
-        s.messages, s.transmissions, s.crc_failures, s.severed, s.failovers, s.link_downs
+        "stats: {} worms, {} transmissions, {} CRC rejections, {} severed, \
+         {} failed opens, {} link death(s) applied",
+        s.offered, s.transmissions, s.corrupted, s.severed, s.failed_opens, s.link_downs
     );
+    assert_eq!(s.delivered_bytes, s.offered_bytes, "payload lost");
     println!(
         "goodput: {:.1} Mbyte/s for {} payload bytes (zero loss)",
-        s.goodput_mbs(t.since(Time::ZERO)),
+        s.delivered_bytes as f64 / r.finished_at.as_secs_f64() / 1e6,
         s.delivered_bytes
     );
-
-    // --- 3. Tier 3: mesh rerouting around dead links ---------------------
-    let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
-    mesh.fail_link(1, 2);
-    let mut c = mesh.open(0, 3, Time::ZERO).expect("detour exists");
-    let done = c.transfer(c.ready_at(), 4096).finished;
-    c.close(&mut mesh, done);
-    println!(
-        "mesh: link 1-2 dead, 0 -> 3 detoured ({} reroute) and finished at {}",
-        mesh.reroutes(),
-        done
-    );
-
-    // Cut the whole column and the partition is a typed error, not a hang.
-    for row in 0..4 {
-        mesh.fail_link(row * 4 + 1, row * 4 + 2);
-    }
-    match mesh.open(0, 3, done) {
-        Err(MeshError::Unreachable { src, dst }) => {
-            println!("mesh: column cut -> {src} to {dst} correctly unreachable");
-        }
-        other => panic!("expected Unreachable, got {other:?}"),
-    }
 }

@@ -40,3 +40,9 @@ pub use pm_net as net;
 pub use pm_node as node;
 pub use pm_sim as sim;
 pub use pm_workloads as workloads;
+
+/// The README's Rust snippets, compiled and run as doctests so the
+/// front page cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

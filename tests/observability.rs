@@ -1,15 +1,13 @@
 //! Registry/outcome reconciliation: the hierarchical metrics layer is
 //! only trustworthy if its counters are *exactly* a recount of what the
 //! per-transfer [`TransferOutcome`]s already said. These tests drive
-//! seeded random schedules through the network, mesh and reliable
-//! transport, publish every outcome, and pin the registry totals to
+//! seeded random schedules through the network, mesh and self-healing
+//! loop, publish every outcome, and pin the registry totals to
 //! independent sums — including the X8 goodput, which must come out
-//! bit-identical to the [`FaultStats`] ledger's own computation.
+//! bit-identical to the plotted figure.
 //!
 //! [`TransferOutcome`]: powermanna::net::outcome::TransferOutcome
-//! [`FaultStats`]: powermanna::net::fault::FaultStats
 
-use powermanna::comm::reliable::ResilientNetwork;
 use powermanna::net::fault::{FaultPlan, LinkRef};
 use powermanna::net::mesh::{Mesh, MeshConfig};
 use powermanna::net::network::{Network, RouteBackpressure};
@@ -68,147 +66,100 @@ fn network_stall_bytes_reconcile_with_outcomes() {
     }
 }
 
-/// The same reconciliation holds on the §6 mesh, rerouting included:
-/// `mesh/reroutes` equals the number of outcomes that reported a
-/// detour, equals [`Mesh::reroutes`]'s own ledger — bit-exact — and the
-/// byte/stall sums match.
-///
-/// [`Mesh::reroutes`]: powermanna::net::mesh::Mesh::reroutes
+/// The same reconciliation holds on the §6 mesh: the byte and stall
+/// sums of the published outcomes match, and every handed-out
+/// connection is one `mesh/opens`.
 #[test]
 fn mesh_outcomes_reconcile_with_registry() {
     let mut rng = cases(2);
     for _ in 0..6 {
         let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
-        // Kill one interior link so some routes detour.
-        mesh.fail_link(1, 2);
         let mut reg = MetricRegistry::new();
-        let (mut bytes, mut stalled, mut reroutes) = (0u64, 0u64, 0u64);
+        let (mut bytes, mut stalled, mut transfers) = (0u64, 0u64, 0u64);
         let mut t = Time::ZERO;
         for _ in 0..rng.gen_range(3, 8) {
             let src = rng.gen_range(0, 8) as u32;
             let dst = rng.gen_range(8, 16) as u32;
-            let Ok(mut conn) = mesh.open(src, dst, t) else {
-                continue;
-            };
+            let mut conn = mesh.open(src, dst, t).expect("every close is recorded");
             let payload = 256 + rng.gen_range(0, 4096);
             let o = conn.transfer(conn.ready_at(), payload);
             conn.close(&mut mesh, o.finished);
             t = o.finished;
             bytes += o.bytes;
             stalled += o.stalled_bytes();
-            reroutes += u64::from(o.rerouted);
+            transfers += 1;
             o.publish(&mut reg, "mesh");
         }
+        mesh.publish_metrics(&mut reg, "mesh");
         assert_eq!(reg.counter_value("mesh/bytes"), Some(bytes));
         assert_eq!(reg.counter_value("mesh/stalled_bytes"), Some(stalled));
-        assert_eq!(reg.counter_value("mesh/reroutes"), Some(reroutes));
-        // The mesh's own ledger is the same number — a detour is counted
-        // exactly when a rerouted connection was handed out.
-        assert_eq!(mesh.reroutes(), reroutes);
+        assert_eq!(reg.counter_value("mesh/transfers"), Some(transfers));
+        assert_eq!(reg.counter_value("mesh/opens"), Some(transfers));
     }
 }
 
-/// A detour that dies mid-open must not count as a reroute: the caller
-/// got no connection, so no outcome will ever report the detour, and an
-/// eager count would drift `Mesh::reroutes` away from the outcome
-/// recount. Forces the overlap deterministically: the only healthy path
-/// crosses a link held by an un-closed connection.
-///
-/// [`Mesh::reroutes`]: powermanna::net::mesh::Mesh::reroutes
-#[test]
-fn failed_mid_open_detour_does_not_count_as_a_reroute() {
-    let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
-    // 1→2's direct link is dead, so that pair must detour via BFS
-    // (E, W, S, N order): 1→5→6→2.
-    mesh.fail_link(1, 2);
-    // Hold 5→6 with an open connection whose close is not yet recorded.
-    let mut holder = mesh.open(5, 6, Time::ZERO).expect("direct XY path");
-    // The detour claims 1→5, then dies on the held 5→6 link.
-    let err = mesh.open(1, 2, Time::ZERO).expect_err("detour blocked");
-    assert!(
-        matches!(err, powermanna::net::mesh::MeshError::LinkHeld { .. }),
-        "expected LinkHeld, got {err:?}"
-    );
-    assert_eq!(
-        mesh.reroutes(),
-        0,
-        "a failed open handed out no rerouted connection"
-    );
-    // Once the holder closes, the same detour succeeds — and only now
-    // does the ledger (and the outcome) count it, keeping the two
-    // bit-equal.
-    let oh = holder.transfer(holder.ready_at(), 64);
-    holder.close(&mut mesh, oh.finished);
-    let mut conn = mesh.open(1, 2, oh.finished).expect("detour now opens");
-    let o = conn.transfer(conn.ready_at(), 256);
-    conn.close(&mut mesh, o.finished);
-    assert!(o.rerouted, "the successful open detoured");
-    assert_eq!(mesh.reroutes(), 1);
-    let mut reg = MetricRegistry::new();
-    o.publish(&mut reg, "mesh");
-    oh.publish(&mut reg, "mesh");
-    assert_eq!(
-        reg.counter_value("mesh/reroutes"),
-        Some(mesh.reroutes()),
-        "outcome recount and mesh ledger must be bit-equal"
-    );
-}
-
-/// The X8 scenario's registry-derived goodput is *bit-identical* to the
-/// [`FaultStats::goodput_mbs`] ledger: both divide the same
-/// `delivered_bytes` by the same elapsed time, so the two `f64`s must
-/// compare equal — not merely close.
-///
-/// [`FaultStats::goodput_mbs`]: powermanna::net::fault::FaultStats::goodput_mbs
+/// The X8 figure's goodput is *bit-identical* to the registry's: the
+/// X8 scenario (two 4 KB streams, one per link interface of node 0,
+/// plane 0 dying at 150 µs) publishes its ledger and outcomes, and
+/// `comm/faults/delivered_bytes` over the run's makespan must reproduce
+/// the plotted `f64` exactly — not merely closely.
 #[test]
 fn x8_registry_goodput_matches_fault_ledger_exactly() {
-    let mut rng = cases(3);
-    for round in 0..4 {
-        let rate = [0.0, 0.1, 0.25, 0.4][round];
-        let plan = FaultPlan::clean(rng.next_u64())
+    use powermanna::machine::experiments::{find, Artifact};
+    use powermanna::net::routesim::{ResilienceConfig, RouteSim, Worm};
+
+    let Artifact::Figure(fig) =
+        (find("faults").expect("registered").run)(true, &mut MetricRegistry::new())
+    else {
+        panic!("faults is a figure");
+    };
+    let degraded = fig.series()[2].points();
+    let worms: Vec<Worm> = (0..16)
+        .map(|i| Worm {
+            src: 0,
+            dst: 1,
+            plane: i % 2,
+            payload: 4096,
+            inject_at: Time::ZERO,
+        })
+        .collect();
+    let mut sim = RouteSim::new(&Topology::two_nodes());
+    for &(rate, plotted) in degraded {
+        let plan = FaultPlan::clean(0xFA17)
             .with_transient_rate(rate)
             .expect("rate in range")
             .kill_link(
                 Time::from_ps(150_000_000),
                 LinkRef::NodeLink { node: 0, plane: 0 },
             );
-        let mut rn = ResilientNetwork::new(Network::new(Topology::two_nodes()), plan);
+        let r = sim
+            .run_resilient(&worms, &plan, &ResilienceConfig::default())
+            .expect("plan valid");
         let mut reg = MetricRegistry::new();
-        let mut buf = vec![0u8; 4096];
-        let mut cursors = [Time::ZERO; 2];
         let mut outcome_bytes = 0u64;
-        for i in 0..16 {
-            buf[0] = i as u8;
-            let plane = (i % 2) as u32;
-            let d = rn
-                .send(0, 1, plane, cursors[plane as usize], &buf)
-                .expect("a healthy plane remains");
-            cursors[plane as usize] = d.finished;
+        for d in r.outcomes.iter().filter_map(|o| o.delivered()) {
             outcome_bytes += d.bytes;
             d.publish(&mut reg, "comm");
         }
-        rn.publish_metrics(&mut reg, "comm");
-        let elapsed = cursors[0].max(cursors[1]).since(Time::ZERO);
+        r.stats.publish(&mut reg, "comm/faults");
 
         // Outcome-level and ledger-level byte counts agree...
         let delivered = reg
             .counter_value("comm/faults/delivered_bytes")
             .expect("ledger published");
-        assert_eq!(delivered, rn.stats().delivered_bytes);
         assert_eq!(reg.counter_value("comm/bytes"), Some(outcome_bytes));
         assert_eq!(outcome_bytes, delivered);
-
-        // ...so the registry goodput is the ledger goodput, exactly.
-        let registry_goodput = delivered as f64 / elapsed.as_secs_f64() / 1e6;
-        let ledger_goodput = rn.stats().goodput_mbs(elapsed);
+        // ...so the registry goodput is the plotted goodput, exactly.
+        let registry_goodput = delivered as f64 / r.finished_at.as_secs_f64() / 1e6;
         assert_eq!(
             registry_goodput.to_bits(),
-            ledger_goodput.to_bits(),
-            "rate {rate}: registry {registry_goodput} vs ledger {ledger_goodput}"
+            plotted.to_bits(),
+            "rate {rate}: registry {registry_goodput} vs figure {plotted}"
         );
 
         // Retry accounting reconciles too: attempts summed over outcomes
-        // equal the ledger's wire transmissions.
+        // equal the ledger's transmissions (nothing was dropped).
+        assert_eq!(reg.counter_value("comm/faults/dropped"), Some(0));
         assert_eq!(
             reg.counter_value("comm/attempts"),
             reg.counter_value("comm/faults/transmissions"),
