@@ -80,11 +80,14 @@ echo "== observability golden (quick metrics registry) =="
 cargo run --release -p pm-bench --bin figures -- --metrics --quick > /dev/null
 diff -u tests/goldens/metrics_quick.csv out/metrics.csv
 
-echo "== pmbench route digests (seed 1) =="
-# Every RouteSim::run and run_resilient output of the 1024-node network
-# workloads must match the digests in pmbench/pinned.txt; pmbench exits
-# non-zero on any mismatch. --seconds 0 runs the minimum passes.
-for workload in hier1024_clean hier1024_faults; do
+echo "== pmbench digests (seed 1) =="
+# Every output of the four pmbench workloads must match the digests in
+# pmbench/pinned.txt; pmbench exits non-zero on any mismatch. The MatMult
+# digests pin N = 32-64 and 160-288 on all three machines, past where
+# matmult_quick.csv stops; the network ones pin every RouteSim::run and
+# run_resilient output on the 1024-node hierarchy. --seconds 0 runs the
+# minimum passes.
+for workload in matmult_l2 matmult_tlb hier1024_clean hier1024_faults; do
   cargo run --release --quiet --offline --manifest-path pmbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 0
 done

@@ -155,7 +155,29 @@ pub struct Cpu {
 
 impl Cpu {
     /// Creates a CPU in reset state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `issue_width`, `reorder_window`, `rename_buffers`,
+    /// `max_outstanding_loads`, `store_buffer` or the `count` of any
+    /// execution unit is zero, naming the field, and if `bht_entries` is
+    /// not a power of two (see [`BranchPredictor::new`]).
     pub fn new(config: CpuConfig) -> Self {
+        for (field, value) in [
+            ("issue_width", config.issue_width),
+            ("reorder_window", config.reorder_window),
+            ("rename_buffers", config.rename_buffers),
+            ("max_outstanding_loads", config.max_outstanding_loads),
+            ("store_buffer", config.store_buffer),
+            ("int_alu.count", config.int_alu.count),
+            ("int_mul.count", config.int_mul.count),
+            ("int_div.count", config.int_div.count),
+            ("fp_add.count", config.fp_add.count),
+            ("fp_mul.count", config.fp_mul.count),
+            ("fp_div.count", config.fp_div.count),
+        ] {
+            assert!(value > 0, "CpuConfig::{field} must be nonzero");
+        }
         let predictor = BranchPredictor::new(config.bht_entries);
         Cpu {
             reg_ready: vec![Time::ZERO; 4096],
@@ -257,8 +279,7 @@ impl Cpu {
         // Reorder window: dispatch stalls while full.
         self.prune(dispatch);
         if self.inflight.len() >= self.config.reorder_window as usize {
-            let free_at =
-                self.inflight[self.inflight.len() + 1 - self.config.reorder_window as usize - 1];
+            let free_at = self.inflight[self.inflight.len() - self.config.reorder_window as usize];
             dispatch = self.bump_dispatch(free_at);
             self.prune(dispatch);
         }
@@ -689,6 +710,40 @@ mod tests {
         let r = cpu.execute_at(tb.finish(), &mut mem, 0, start);
         assert!(r.finished_at > start);
         assert_eq!(r.elapsed, r.finished_at.since(start));
+    }
+}
+
+#[cfg(test)]
+mod config_tests {
+    use super::*;
+
+    /// One test per `CpuConfig` field that must be nonzero: each sets the
+    /// field to zero on the MPC620 preset and expects `Cpu::new` to name it.
+    macro_rules! rejects_zero {
+        ($($test:ident: $($field:ident).+ => $msg:literal,)*) => {$(
+            #[test]
+            #[should_panic(expected = $msg)]
+            fn $test() {
+                let mut config = CpuConfig::mpc620();
+                config.$($field).+ = 0;
+                Cpu::new(config);
+            }
+        )*};
+    }
+
+    rejects_zero! {
+        zero_issue_width_panics: issue_width => "CpuConfig::issue_width must be nonzero",
+        zero_reorder_window_panics: reorder_window => "CpuConfig::reorder_window must be nonzero",
+        zero_rename_buffers_panics: rename_buffers => "CpuConfig::rename_buffers must be nonzero",
+        zero_outstanding_loads_panics: max_outstanding_loads
+            => "CpuConfig::max_outstanding_loads must be nonzero",
+        zero_store_buffer_panics: store_buffer => "CpuConfig::store_buffer must be nonzero",
+        zero_int_alus_panics: int_alu.count => "CpuConfig::int_alu.count must be nonzero",
+        zero_int_muls_panics: int_mul.count => "CpuConfig::int_mul.count must be nonzero",
+        zero_int_divs_panics: int_div.count => "CpuConfig::int_div.count must be nonzero",
+        zero_fp_adds_panics: fp_add.count => "CpuConfig::fp_add.count must be nonzero",
+        zero_fp_muls_panics: fp_mul.count => "CpuConfig::fp_mul.count must be nonzero",
+        zero_fp_divs_panics: fp_div.count => "CpuConfig::fp_div.count must be nonzero",
     }
 }
 

@@ -4,13 +4,21 @@
 use crate::geometry::CacheGeometry;
 use crate::mesi::MesiState;
 
-/// Per-line metadata: tag, MESI state, LRU stamp.
+/// Per-line metadata: tag, MESI state, LRU stamp. An Invalid line is an
+/// empty slot, and its LRU stamp is 0, older than any resident line's.
 #[derive(Clone, Copy, Debug)]
 struct Line {
     tag: u64,
     state: MesiState,
     lru: u64,
 }
+
+/// An empty slot.
+const EMPTY: Line = Line {
+    tag: 0,
+    state: MesiState::Invalid,
+    lru: 0,
+};
 
 /// A victim line pushed out by a fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,7 +92,9 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct Cache {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Line>>,
+    /// `sets * ways` slots, set-major: set `s` owns the `ways` slots from
+    /// `s * ways`.
+    lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
 }
@@ -92,13 +102,16 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = (0..geometry.sets()).map(|_| Vec::new()).collect();
         Cache {
             geometry,
-            sets,
+            lines: vec![EMPTY; Self::slots(geometry)],
             clock: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    fn slots(geometry: CacheGeometry) -> usize {
+        geometry.sets() as usize * geometry.ways() as usize
     }
 
     /// The cache geometry.
@@ -106,25 +119,35 @@ impl Cache {
         self.geometry
     }
 
+    /// The index of the first slot of the set `addr` maps to.
+    fn set_base(&self, addr: u64) -> usize {
+        self.geometry.set_index(addr) as usize * self.geometry.ways() as usize
+    }
+
+    /// The slot holding the line containing `addr`, if it is resident.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let base = self.set_base(addr);
+        let tag = self.geometry.tag(addr);
+        self.lines[base..base + self.geometry.ways() as usize]
+            .iter()
+            .position(|l| l.tag == tag && l.state != MesiState::Invalid)
+            .map(|way| base + way)
+    }
+
     /// Returns the MESI state of the line containing `addr` without
     /// affecting LRU order or statistics.
     pub fn probe(&self, addr: u64) -> MesiState {
-        let set = &self.sets[self.geometry.set_index(addr) as usize];
-        let tag = self.geometry.tag(addr);
-        set.iter()
-            .find(|l| l.tag == tag)
-            .map_or(MesiState::Invalid, |l| l.state)
+        self.find(addr)
+            .map_or(MesiState::Invalid, |i| self.lines[i].state)
     }
 
     /// Looks up `addr`, updating LRU order and hit/miss statistics.
     /// Returns the line state ([`MesiState::Invalid`] on miss).
     pub fn lookup(&mut self, addr: u64) -> MesiState {
         self.clock += 1;
-        let clock = self.clock;
-        let tag = self.geometry.tag(addr);
-        let set = &mut self.sets[self.geometry.set_index(addr) as usize];
-        if let Some(l) = set.iter_mut().find(|l| l.tag == tag) {
-            l.lru = clock;
+        if let Some(i) = self.find(addr) {
+            let l = &mut self.lines[i];
+            l.lru = self.clock;
             self.stats.hits += 1;
             l.state
         } else {
@@ -143,42 +166,38 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, state: MesiState) -> Option<EvictedLine> {
         assert!(state != MesiState::Invalid, "cannot fill an Invalid line");
         self.clock += 1;
-        let clock = self.clock;
-        let tag = self.geometry.tag(addr);
-        let ways = self.geometry.ways() as usize;
         let geometry = self.geometry;
-        let set_idx = geometry.set_index(addr) as usize;
-        let set = &mut self.sets[set_idx];
+        let tag = geometry.tag(addr);
+        let base = self.set_base(addr);
+        let set = &mut self.lines[base..base + geometry.ways() as usize];
         assert!(
-            set.iter().all(|l| l.tag != tag),
+            set.iter()
+                .all(|l| l.tag != tag || l.state == MesiState::Invalid),
             "fill of already-present line {addr:#x}"
         );
-        let mut victim = None;
-        if set.len() == ways {
-            // Evict the least recently used way.
-            let (vi, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("nonempty set");
-            let v = set.swap_remove(vi);
-            self.stats.evictions += 1;
-            if v.state.dirty() {
-                self.stats.writebacks += 1;
-            }
-            let sets_count = geometry.sets();
-            let base = (v.tag * sets_count + set_idx as u64) * geometry.line_bytes() as u64;
-            victim = Some(EvictedLine {
-                base_addr: base,
-                state: v.state,
-            });
-        }
-        set.push(Line {
+        // An empty slot has the oldest stamp, so a full set evicts its
+        // least recently used way and any other set fills a free one.
+        let slot = set
+            .iter_mut()
+            .min_by_key(|l| l.lru)
+            .expect("a set has at least one way");
+        let old = *slot;
+        *slot = Line {
             tag,
             state,
-            lru: clock,
-        });
-        victim
+            lru: self.clock,
+        };
+        if old.state == MesiState::Invalid {
+            return None;
+        }
+        self.stats.evictions += 1;
+        if old.state.dirty() {
+            self.stats.writebacks += 1;
+        }
+        Some(EvictedLine {
+            base_addr: geometry.line_addr(old.tag, geometry.set_index(addr)),
+            state: old.state,
+        })
     }
 
     /// Sets the MESI state of a present line (upgrade/downgrade).
@@ -186,14 +205,12 @@ impl Cache {
     /// Setting [`MesiState::Invalid`] removes the line. Does nothing if the
     /// line is absent.
     pub fn set_state(&mut self, addr: u64, state: MesiState) {
-        let tag = self.geometry.tag(addr);
-        let set = &mut self.sets[self.geometry.set_index(addr) as usize];
-        if state == MesiState::Invalid {
-            if let Some(i) = set.iter().position(|l| l.tag == tag) {
-                set.swap_remove(i);
+        if let Some(i) = self.find(addr) {
+            if state == MesiState::Invalid {
+                self.lines[i] = EMPTY;
+            } else {
+                self.lines[i].state = state;
             }
-        } else if let Some(l) = set.iter_mut().find(|l| l.tag == tag) {
-            l.state = state;
         }
     }
 
@@ -207,7 +224,10 @@ impl Cache {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines
+            .iter()
+            .filter(|l| l.state != MesiState::Invalid)
+            .count()
     }
 
     /// Accumulated statistics.
@@ -217,23 +237,17 @@ impl Cache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.fill(EMPTY);
         self.clock = 0;
         self.stats = CacheStats::default();
     }
 
     /// Re-shapes this cache to `geometry` and cold-resets it, reusing the
-    /// set array (and each set's way storage, when the set count is
-    /// unchanged) instead of reallocating. After the call the cache is
-    /// indistinguishable from `Cache::new(geometry)` except for retained
-    /// heap capacity.
+    /// slot array instead of reallocating whenever it is large enough.
+    /// After the call the cache is indistinguishable from
+    /// `Cache::new(geometry)` except for retained heap capacity.
     pub fn reset_to(&mut self, geometry: CacheGeometry) {
-        let sets = geometry.sets() as usize;
-        if sets != self.sets.len() {
-            self.sets.resize_with(sets, Vec::new);
-        }
+        self.lines.resize(Self::slots(geometry), EMPTY);
         self.geometry = geometry;
         self.reset();
     }

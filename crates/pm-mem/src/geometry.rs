@@ -18,6 +18,12 @@ pub struct CacheGeometry {
     size_bytes: u64,
     ways: u32,
     line_bytes: u32,
+    /// log2 of the line size: an address shifted right by this is its
+    /// line index.
+    line_shift: u32,
+    /// log2 of the set count: a line index shifted right by this is its
+    /// tag, and its low `set_shift` bits are its set.
+    set_shift: u32,
 }
 
 impl CacheGeometry {
@@ -44,6 +50,8 @@ impl CacheGeometry {
             size_bytes,
             ways,
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -64,22 +72,28 @@ impl CacheGeometry {
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.size_bytes / (self.ways as u64 * self.line_bytes as u64)
+        1 << self.set_shift
     }
 
     /// Global line index of an address (address divided by line size).
     pub fn line_index(&self, addr: u64) -> u64 {
-        addr / self.line_bytes as u64
+        addr >> self.line_shift
     }
 
     /// Set an address maps to.
     pub fn set_index(&self, addr: u64) -> u64 {
-        self.line_index(addr) % self.sets()
+        self.line_index(addr) & (self.sets() - 1)
     }
 
     /// Tag stored for an address (line index with set bits removed).
     pub fn tag(&self, addr: u64) -> u64 {
-        self.line_index(addr) / self.sets()
+        self.line_index(addr) >> self.set_shift
+    }
+
+    /// Base address of the line with `tag` in set `set`: the inverse of
+    /// [`CacheGeometry::tag`] and [`CacheGeometry::set_index`].
+    pub(crate) fn line_addr(&self, tag: u64, set: u64) -> u64 {
+        ((tag << self.set_shift) | set) << self.line_shift
     }
 
     /// Base address of the line containing `addr`.
@@ -115,6 +129,7 @@ mod tests {
         // tag+set reconstruct the line index
         assert_eq!(tag * g.sets() + set, g.line_index(addr));
         assert_eq!(g.line_base(addr), addr & !63);
+        assert_eq!(g.line_addr(tag, set), g.line_base(addr));
     }
 
     #[test]

@@ -48,26 +48,31 @@ impl Time {
     pub const MAX: Time = Time(u64::MAX);
 
     /// Creates a time from picoseconds.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Self {
         Time(ps)
     }
 
     /// Returns the instant as picoseconds since simulation start.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
     /// Returns the instant in (fractional) nanoseconds.
+    #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Returns the instant in (fractional) microseconds.
+    #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Returns the instant in (fractional) seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
     }
@@ -78,6 +83,7 @@ impl Time {
     ///
     /// Panics if `earlier` is later than `self`; simulated time never runs
     /// backwards, so this indicates a model bug.
+    #[inline]
     pub fn since(self, earlier: Time) -> Duration {
         assert!(
             earlier.0 <= self.0,
@@ -87,11 +93,13 @@ impl Time {
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
@@ -102,63 +110,75 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Creates a duration from picoseconds.
+    #[inline]
     pub const fn from_ps(ps: u64) -> Self {
         Duration(ps)
     }
 
     /// Creates a duration from nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         Duration(ns * 1_000)
     }
 
     /// Creates a duration from microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         Duration(us * 1_000_000)
     }
 
     /// Creates a duration from milliseconds.
+    #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         Duration(ms * 1_000_000_000)
     }
 
     /// Creates a duration from fractional microseconds, rounding to the
     /// nearest picosecond.
+    #[inline]
     pub fn from_us_f64(us: f64) -> Self {
         Duration((us * 1e6).round() as u64)
     }
 
     /// Returns the duration in picoseconds.
+    #[inline]
     pub const fn as_ps(self) -> u64 {
         self.0
     }
 
     /// Returns the duration in (fractional) nanoseconds.
+    #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Returns the duration in (fractional) microseconds.
+    #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Returns the duration in (fractional) seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
     }
 
     /// Returns the larger of two durations.
+    #[inline]
     pub fn max(self, other: Duration) -> Duration {
         Duration(self.0.max(other.0))
     }
 
     /// Returns the smaller of two durations.
+    #[inline]
     pub fn min(self, other: Duration) -> Duration {
         Duration(self.0.min(other.0))
     }
 
     /// Saturating subtraction; returns [`Duration::ZERO`] instead of
     /// underflowing.
+    #[inline]
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
     }
@@ -166,12 +186,14 @@ impl Duration {
 
 impl Add<Duration> for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Duration) -> Time {
         Time(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<Duration> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         self.0 += rhs.0;
     }
@@ -179,6 +201,7 @@ impl AddAssign<Duration> for Time {
 
 impl Sub<Duration> for Time {
     type Output = Time;
+    #[inline]
     fn sub(self, rhs: Duration) -> Time {
         Time(self.0 - rhs.0)
     }
@@ -186,6 +209,7 @@ impl Sub<Duration> for Time {
 
 impl Sub<Time> for Time {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: Time) -> Duration {
         self.since(rhs)
     }
@@ -193,12 +217,14 @@ impl Sub<Time> for Time {
 
 impl Add for Duration {
     type Output = Duration;
+    #[inline]
     fn add(self, rhs: Duration) -> Duration {
         Duration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Duration {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         self.0 += rhs.0;
     }
@@ -206,6 +232,7 @@ impl AddAssign for Duration {
 
 impl Sub for Duration {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: Duration) -> Duration {
         assert!(rhs.0 <= self.0, "duration underflow: {self} - {rhs}");
         Duration(self.0 - rhs.0)
@@ -213,6 +240,7 @@ impl Sub for Duration {
 }
 
 impl SubAssign for Duration {
+    #[inline]
     fn sub_assign(&mut self, rhs: Duration) {
         *self = *self - rhs;
     }
@@ -220,6 +248,7 @@ impl SubAssign for Duration {
 
 impl Mul<u64> for Duration {
     type Output = Duration;
+    #[inline]
     fn mul(self, rhs: u64) -> Duration {
         Duration(self.0 * rhs)
     }
@@ -227,6 +256,7 @@ impl Mul<u64> for Duration {
 
 impl Div<u64> for Duration {
     type Output = Duration;
+    #[inline]
     fn div(self, rhs: u64) -> Duration {
         Duration(self.0 / rhs)
     }
@@ -308,6 +338,7 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if `mhz` is not positive and finite.
+    #[inline]
     pub fn from_mhz(mhz: f64) -> Self {
         assert!(mhz.is_finite() && mhz > 0.0, "invalid clock frequency");
         Clock {
@@ -320,12 +351,14 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if `khz` is zero.
+    #[inline]
     pub fn from_khz(khz: u64) -> Self {
         assert!(khz > 0, "invalid clock frequency");
         Clock { freq_khz: khz }
     }
 
     /// Returns the frequency in megahertz.
+    #[inline]
     pub fn mhz(&self) -> f64 {
         self.freq_khz as f64 / 1e3
     }
@@ -333,22 +366,26 @@ impl Clock {
     /// Returns the clock period, rounded to the nearest picosecond.
     ///
     /// Prefer [`Clock::time_of_cycle`] when accumulating many cycles.
+    #[inline]
     pub fn period(&self) -> Duration {
         self.duration_of(1)
     }
 
     /// Returns the instant at which cycle `n` begins (cycle 0 begins at
     /// [`Time::ZERO`]).
+    #[inline]
     pub fn time_of_cycle(&self, n: u64) -> Time {
         Time(self.ps_of(n))
     }
 
     /// Returns the exact span of `n` cycles, rounded once.
+    #[inline]
     pub fn duration_of(&self, n: u64) -> Duration {
         Duration(self.ps_of(n))
     }
 
     /// Returns how many whole cycles of this clock fit in `d`.
+    #[inline]
     pub fn cycles_in(&self, d: Duration) -> u64 {
         // cycles = d_ps * freq_khz / 1e9
         mul_div(d.0, self.freq_khz, 1_000_000_000)
@@ -356,6 +393,7 @@ impl Clock {
 
     /// Returns the number of whole cycles that have *completed* by instant
     /// `t`.
+    #[inline]
     pub fn cycle_at(&self, t: Time) -> u64 {
         mul_div(t.0, self.freq_khz, 1_000_000_000)
     }
@@ -364,6 +402,7 @@ impl Clock {
     ///
     /// Used at clock-domain crossings (e.g. bus-clock FIFO to link-clock
     /// serialiser): data only moves on the destination domain's edge.
+    #[inline]
     pub fn next_edge(&self, t: Time) -> Time {
         let c = self.cycle_at(t);
         let edge = self.time_of_cycle(c);
@@ -374,6 +413,7 @@ impl Clock {
         }
     }
 
+    #[inline]
     fn ps_of(&self, cycles: u64) -> u64 {
         // ps = cycles * 1e9 / freq_khz, rounded to nearest.
         mul_div_round(cycles, 1_000_000_000, self.freq_khz)
@@ -382,6 +422,7 @@ impl Clock {
 
 /// Computes `a * b / c` without overflow, truncating: in u64 when the
 /// product fits (exactly the same result), via u128 otherwise.
+#[inline]
 fn mul_div(a: u64, b: u64, c: u64) -> u64 {
     match a.checked_mul(b) {
         Some(p) => p / c,
@@ -392,6 +433,7 @@ fn mul_div(a: u64, b: u64, c: u64) -> u64 {
 /// Computes `a * b / c` without overflow, rounding to nearest: in u64
 /// when the biased product fits (exactly the same result), via u128
 /// otherwise.
+#[inline]
 fn mul_div_round(a: u64, b: u64, c: u64) -> u64 {
     match a.checked_mul(b).and_then(|p| p.checked_add(c / 2)) {
         Some(p) => p / c,
