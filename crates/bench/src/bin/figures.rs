@@ -313,9 +313,10 @@ fn time_hot_paths(quick: bool) -> Vec<HotPath> {
 
     // The 1024-worm hierarchy permutation: every node of system1024
     // injects at once and the adaptive policy keeps all 1024 worms in
-    // flight. The fresh path rebuilds the simulator (adjacency tables,
-    // route arena, event heap) per batch; the pooled path reuses one
-    // simulator so a batch touches only recycled vectors.
+    // flight. The fresh path rebuilds the simulator (adjacency and
+    // crossbar link tables, route arena, event heap) per batch; the
+    // pooled path reuses one simulator so a batch touches only
+    // recycled vectors.
     let hierarchy_worms = pm_core::hierarchy::x13_hot_path_worms();
     let topo = Topology::system1024();
     let t = Instant::now();
