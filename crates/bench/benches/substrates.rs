@@ -119,31 +119,6 @@ fn bench_flitsim(r: &mut Runner) {
     });
 }
 
-fn bench_mem_pool(r: &mut Runner) {
-    // One provisioning-dominated sweep point: a burst of streaming
-    // misses on a freshly provisioned node. The fresh variant pays the
-    // tag-store allocation (and its teardown) every call; the reused
-    // variant is the `pm_mem::pool` hot path — `reset_to` recycles the
-    // allocations. `tests/parity.rs` pins the two to identical stats.
-    let cfg = HierarchyConfig::mpc620_node(2);
-    let point = |mem: &mut MemorySystem| {
-        let mut t = Time::ZERO;
-        for i in 0..256u64 {
-            t = mem.access(0, Access::read(i * 64), t).done_at;
-        }
-        t
-    };
-    r.bench("mem_pool/sweep_point_fresh", move || {
-        let mut mem = MemorySystem::new(cfg);
-        point(&mut mem)
-    });
-    let mut pooled = MemorySystem::new(cfg);
-    r.bench("mem_pool/sweep_point_reused", move || {
-        pooled.reset_to(cfg);
-        point(&mut pooled)
-    });
-}
-
 fn bench_stopwire(r: &mut Runner) {
     // A 64-KB worm through an output whose downstream side stalls half
     // of every millisecond-scale window: the per-flit reference walks
@@ -271,7 +246,6 @@ fn main() {
     bench_ni(&mut r);
     bench_crc(&mut r);
     bench_flitsim(&mut r);
-    bench_mem_pool(&mut r);
     bench_stopwire(&mut r);
     bench_mesh(&mut r);
     bench_mpi(&mut r);

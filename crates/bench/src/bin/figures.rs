@@ -17,9 +17,7 @@
 //!                           # (ci.sh golden-diffs the --quick CSV)
 
 use pm_core::experiments::{all_experiments, find, headline_checks};
-use pm_core::matmultrun::measure_single;
 use pm_core::report::{render_terminal, run_all, write_bundle};
-use pm_core::systems;
 use pm_net::flitsim::{self, Backpressure};
 use pm_net::network::{Network, RouteBackpressure};
 use pm_net::routesim::{RoutePolicy, RouteSim};
@@ -28,7 +26,6 @@ use pm_net::topology::Topology;
 use pm_sim::metrics::MetricRegistry;
 use pm_sim::par;
 use pm_sim::time::Time;
-use pm_workloads::matmult::MatMultVersion;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
@@ -220,43 +217,18 @@ struct HotPath {
     optimized_ms: f64,
 }
 
-/// Times the two zero-allocation hot paths against their naive
-/// baselines (see `tests/parity.rs` for the proof that the fast paths
-/// are behaviour-preserving):
+/// Times the hot paths against their naive baselines (see
+/// `tests/parity.rs` for the proof that the fast paths are
+/// behaviour-preserving):
 ///
-/// * a MatMult sweep over provisioning-dominated sizes, fresh
-///   `MemorySystem` per point vs the thread-local pool;
 /// * a saturated backpressured crossbar batch, per-flit stop-wire
 ///   bookkeeping vs the batched closed-form engine;
+/// * a backpressured 3-crossbar route, the same two engines;
 /// * the 1024-worm hierarchy permutation, fresh simulator per batch vs
-///   the pooled `RouteSim` reuse `tests/bench_guard.rs` budgets.
+///   the pooled `RouteSim` reuse `tests/bench_guard.rs` budgets;
+/// * the resilient loop under a small fault campaign, fresh vs pooled.
 fn time_hot_paths(quick: bool) -> Vec<HotPath> {
     let reps = if quick { 20 } else { 50 };
-
-    // MatMult sweep at small sizes: per-point work is tiny, so the
-    // per-point MemorySystem provisioning (two 2-MB-cache tag stores
-    // allocated, faulted in and freed per point) is the cost being
-    // swept away.
-    let pm = systems::powermanna();
-    let sweep = || {
-        for n in [2usize, 3, 4, 5, 6, 8] {
-            black_box(measure_single(&pm, n, MatMultVersion::Transposed));
-        }
-    };
-    // Warm-up decouples the timing from one-time code/allocator setup.
-    sweep();
-    pm_mem::pool::set_reuse(false);
-    let t = Instant::now();
-    for _ in 0..reps {
-        sweep();
-    }
-    let fresh_ms = t.elapsed().as_secs_f64() * 1e3;
-    pm_mem::pool::set_reuse(true);
-    let t = Instant::now();
-    for _ in 0..reps {
-        sweep();
-    }
-    let reused_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Saturated crossbar: long worms through outputs that stall half of
     // every window, so the per-flit engine walks millions of link ticks
@@ -361,13 +333,6 @@ fn time_hot_paths(quick: bool) -> Vec<HotPath> {
     let resilience_reused_ms = t.elapsed().as_secs_f64() * 1e3;
 
     vec![
-        HotPath {
-            name: "matmult_sweep",
-            baseline: "fresh",
-            baseline_ms: fresh_ms,
-            optimized: "reused",
-            optimized_ms: reused_ms,
-        },
         HotPath {
             name: "flitsim_saturation",
             baseline: "per_flit",

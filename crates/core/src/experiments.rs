@@ -13,6 +13,7 @@ use pm_comm::config::CommConfig;
 use pm_comm::driver;
 use pm_comm::mpi::MpiWorld;
 use pm_cpu::run_smp;
+use pm_mem::MemorySystem;
 use pm_net::crossbar::CrossbarConfig;
 use pm_net::flitsim;
 use pm_net::mesh::{Mesh, MeshConfig};
@@ -404,14 +405,13 @@ fn x1_scale4(quick: bool) -> Figure {
     let lines_per_cpu: u64 = if quick { 512 } else { 4096 };
     let sys = systems::powermanna();
     let mut s = Series::new("PowerMANNA (ADSP, split transactions)");
-    let base = pm_mem::pool::with_node_mem(sys.node.mem, |mem| {
-        let r = run_smp(
-            std::slice::from_ref(&sys.node.cpu),
-            vec![stream::triad(0, lines_per_cpu as usize * 8)],
-            mem,
-        );
-        r[0].elapsed.as_secs_f64()
-    });
+    let base = run_smp(
+        std::slice::from_ref(&sys.node.cpu),
+        vec![stream::triad(0, lines_per_cpu as usize * 8)],
+        &mut MemorySystem::new(sys.node.mem),
+    )[0]
+    .elapsed
+    .as_secs_f64();
     for cpus in 1..=4usize {
         let cfg = {
             let mut c = sys.node.mem;
@@ -422,7 +422,7 @@ fn x1_scale4(quick: bool) -> Figure {
         let traces = (0..cpus)
             .map(|i| stream::triad((i as u64) << 28, lines_per_cpu as usize * 8))
             .collect();
-        let results = pm_mem::pool::with_node_mem(cfg, |mem| run_smp(&configs, traces, mem));
+        let results = run_smp(&configs, traces, &mut MemorySystem::new(cfg));
         let slowest = results
             .iter()
             .map(|r| r.elapsed.as_secs_f64())
@@ -831,12 +831,12 @@ fn x10_stencil(quick: bool) -> Figure {
 
     // Per-node compute time for one sweep: warm once, measure the next
     // sweep (the slab stays cached across iterations where it fits).
-    let compute = pm_mem::pool::with_node_mem(sys.node.mem, |mem| {
-        let mut cpu = pm_cpu::Cpu::new(sys.node.cpu.clone());
-        let warm = cpu.execute_at(stencil.sweep_rows(0, rows), mem, 0, Time::ZERO);
-        let sweep = cpu.execute_at(stencil.sweep_rows(0, rows), mem, 0, warm.finished_at);
-        sweep.elapsed
-    });
+    let mem = &mut MemorySystem::new(sys.node.mem);
+    let mut cpu = pm_cpu::Cpu::new(sys.node.cpu.clone());
+    let warm = cpu.execute_at(stencil.sweep_rows(0, rows), mem, 0, Time::ZERO);
+    let compute = cpu
+        .execute_at(stencil.sweep_rows(0, rows), mem, 0, warm.finished_at)
+        .elapsed;
 
     let cfg = comm_config();
     let mut s = Series::new("PowerMANNA, 512x128 slab/node");

@@ -2,6 +2,7 @@
 
 use crate::systems::System;
 use pm_cpu::Cpu;
+use pm_mem::MemorySystem;
 use pm_sim::stats::Series;
 use pm_sim::time::{Duration, Time};
 use pm_workloads::hint::{Hint, HintType};
@@ -81,26 +82,24 @@ impl HintRun {
 /// ```
 pub fn run_hint(system: &System, dtype: HintType, max_memory_bytes: u64) -> HintRun {
     let mut hint = Hint::new(dtype);
-    let points = pm_mem::pool::with_node_mem(system.node.mem, |mem| {
-        let mut cpu = Cpu::new(system.node.cpu.clone());
-        let mut elapsed = Duration::ZERO;
-        let mut cursor = Time::ZERO;
-        let mut points = Vec::new();
-        while hint.memory_bytes() < max_memory_bytes {
-            let pass = hint.pass();
-            let result = cpu.execute_at(pass.trace.instrs().iter().copied(), mem, 0, cursor);
-            hint.recycle(pass.trace);
-            cursor = result.finished_at;
-            elapsed += result.elapsed;
-            let time_s = elapsed.as_secs_f64();
-            points.push(HintPoint {
-                time_s,
-                quips: pass.quality / time_s,
-                memory_bytes: pass.memory_bytes,
-            });
-        }
-        points
-    });
+    let mem = &mut MemorySystem::new(system.node.mem);
+    let mut cpu = Cpu::new(system.node.cpu.clone());
+    let mut elapsed = Duration::ZERO;
+    let mut cursor = Time::ZERO;
+    let mut points = Vec::new();
+    while hint.memory_bytes() < max_memory_bytes {
+        let pass = hint.pass();
+        let result = cpu.execute_at(pass.trace.instrs().iter().copied(), mem, 0, cursor);
+        hint.recycle(pass.trace);
+        cursor = result.finished_at;
+        elapsed += result.elapsed;
+        let time_s = elapsed.as_secs_f64();
+        points.push(HintPoint {
+            time_s,
+            quips: pass.quality / time_s,
+            memory_bytes: pass.memory_bytes,
+        });
+    }
     HintRun {
         system: system.name,
         dtype,

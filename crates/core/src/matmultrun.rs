@@ -11,7 +11,7 @@
 
 use crate::systems::System;
 use pm_cpu::{run_smp_at, Cpu};
-use pm_mem::pool::with_node_mem;
+use pm_mem::MemorySystem;
 use pm_sim::time::{Duration, Time};
 use pm_workloads::blocked::BlockedMatMult;
 use pm_workloads::matmult::{MatMult, MatMultVersion};
@@ -49,40 +49,39 @@ const SAMPLE_ROWS: usize = 2;
 /// ```
 pub fn measure_single(system: &System, n: usize, version: MatMultVersion) -> MatMultMeasurement {
     let kernel = MatMult::new(n, version);
-    with_node_mem(system.node.mem, |mem| {
-        let mut cpu = Cpu::new(system.node.cpu.clone());
+    let mem = &mut MemorySystem::new(system.node.mem);
+    let mut cpu = Cpu::new(system.node.cpu.clone());
 
-        let mut cursor = Time::ZERO;
-        let mut runtime = Duration::ZERO;
+    let mut cursor = Time::ZERO;
+    let mut runtime = Duration::ZERO;
 
-        // The transposed version pays for the transposition up front.
-        if version == MatMultVersion::Transposed {
-            let pass = kernel.emit_transpose(0, kernel.transpose_len());
-            let r = cpu.execute_at(pass, mem, 0, cursor);
-            cursor = r.finished_at;
-            runtime += r.elapsed;
-        }
+    // The transposed version pays for the transposition up front.
+    if version == MatMultVersion::Transposed {
+        let pass = kernel.emit_transpose(0, kernel.transpose_len());
+        let r = cpu.execute_at(pass, mem, 0, cursor);
+        cursor = r.finished_at;
+        runtime += r.elapsed;
+    }
 
-        let sampled = n > FULL_SIM_LIMIT;
-        if !sampled {
-            let r = cpu.execute_at(kernel.emit_rows(0, n), mem, 0, cursor);
-            runtime += r.elapsed;
-        } else {
-            // Warm-up row primes caches and branch predictor.
-            let warm = cpu.execute_at(kernel.emit_rows(0, 1), mem, 0, cursor);
-            cursor = warm.finished_at;
-            let measured = cpu.execute_at(kernel.emit_rows(1, 1 + SAMPLE_ROWS), mem, 0, cursor);
-            let per_row = measured.elapsed / SAMPLE_ROWS as u64;
-            runtime += per_row * n as u64;
-        }
+    let sampled = n > FULL_SIM_LIMIT;
+    if !sampled {
+        let r = cpu.execute_at(kernel.emit_rows(0, n), mem, 0, cursor);
+        runtime += r.elapsed;
+    } else {
+        // Warm-up row primes caches and branch predictor.
+        let warm = cpu.execute_at(kernel.emit_rows(0, 1), mem, 0, cursor);
+        cursor = warm.finished_at;
+        let measured = cpu.execute_at(kernel.emit_rows(1, 1 + SAMPLE_ROWS), mem, 0, cursor);
+        let per_row = measured.elapsed / SAMPLE_ROWS as u64;
+        runtime += per_row * n as u64;
+    }
 
-        MatMultMeasurement {
-            n,
-            mflops: kernel.flops_total() as f64 / runtime.as_secs_f64() / 1e6,
-            runtime,
-            sampled,
-        }
-    })
+    MatMultMeasurement {
+        n,
+        mflops: kernel.flops_total() as f64 / runtime.as_secs_f64() / 1e6,
+        runtime,
+        sampled,
+    }
 }
 
 /// Measures dual-processor MatMult: the rows split evenly across both
@@ -92,110 +91,108 @@ pub fn measure_dual(system: &System, n: usize, version: MatMultVersion) -> MatMu
     let configs = [system.node.cpu.clone(), system.node.cpu.clone()];
     let half = n / 2;
 
-    with_node_mem(system.node.mem, |mem| {
-        let mut runtime = Duration::ZERO;
-        let mut cursor = Time::ZERO;
+    let mem = &mut MemorySystem::new(system.node.mem);
+    let mut runtime = Duration::ZERO;
+    let mut cursor = Time::ZERO;
 
-        if version == MatMultVersion::Transposed {
-            // The CPUs split the transposition pass at its middle
-            // instruction: CPU 0 runs the first half of the (j, k) sweep,
-            // CPU 1 the rest, each moving about half of B. For odd N the
-            // split falls mid-element; CPU 1 resumes at exactly that
-            // instruction, with the register names it has in the pass.
-            let len = kernel.transpose_len();
-            let mid = len / 2;
-            let lanes = vec![
-                kernel.emit_transpose(0, mid),
-                kernel.emit_transpose(mid, len),
-            ];
-            let results = run_smp_at(&configs, lanes, mem, cursor);
-            let slowest = results
-                .iter()
-                .map(|r| r.elapsed)
-                .fold(Duration::ZERO, Duration::max);
-            runtime += slowest;
-            cursor += slowest;
-        }
+    if version == MatMultVersion::Transposed {
+        // The CPUs split the transposition pass at its middle
+        // instruction: CPU 0 runs the first half of the (j, k) sweep,
+        // CPU 1 the rest, each moving about half of B. For odd N the
+        // split falls mid-element; CPU 1 resumes at exactly that
+        // instruction, with the register names it has in the pass.
+        let len = kernel.transpose_len();
+        let mid = len / 2;
+        let lanes = vec![
+            kernel.emit_transpose(0, mid),
+            kernel.emit_transpose(mid, len),
+        ];
+        let results = run_smp_at(&configs, lanes, mem, cursor);
+        let slowest = results
+            .iter()
+            .map(|r| r.elapsed)
+            .fold(Duration::ZERO, Duration::max);
+        runtime += slowest;
+        cursor += slowest;
+    }
 
-        // Sampling kicks in at the same problem size as measure_single so
-        // speedups compare like with like.
-        let sampled = n > FULL_SIM_LIMIT;
-        if !sampled {
-            let results = run_smp_at(
-                &configs,
-                // For N = 1 CPU 0's half is empty: it idles, CPU 1 works.
-                vec![kernel.emit_rows(0, half), kernel.emit_rows(half, n)],
-                mem,
-                cursor,
-            );
-            let slowest = results
-                .iter()
-                .map(|r| r.elapsed)
-                .fold(Duration::ZERO, Duration::max);
-            runtime += slowest;
-        } else {
-            // Warm + measure on both CPUs concurrently so contention shows.
-            let warm = run_smp_at(
-                &configs,
-                vec![kernel.emit_rows(0, 1), kernel.emit_rows(half, half + 1)],
-                mem,
-                cursor,
-            );
-            let warm_slowest = warm
-                .iter()
-                .map(|r| r.elapsed)
-                .fold(Duration::ZERO, Duration::max);
-            cursor += warm_slowest;
-            let measured = run_smp_at(
-                &configs,
-                vec![
-                    kernel.emit_rows(1, 1 + SAMPLE_ROWS),
-                    kernel.emit_rows(half + 1, half + 1 + SAMPLE_ROWS),
-                ],
-                mem,
-                cursor,
-            );
-            let slowest = measured
-                .iter()
-                .map(|r| r.elapsed)
-                .fold(Duration::ZERO, Duration::max);
-            runtime += (slowest / SAMPLE_ROWS as u64) * half as u64;
-        }
+    // Sampling kicks in at the same problem size as measure_single so
+    // speedups compare like with like.
+    let sampled = n > FULL_SIM_LIMIT;
+    if !sampled {
+        let results = run_smp_at(
+            &configs,
+            // For N = 1 CPU 0's half is empty: it idles, CPU 1 works.
+            vec![kernel.emit_rows(0, half), kernel.emit_rows(half, n)],
+            mem,
+            cursor,
+        );
+        let slowest = results
+            .iter()
+            .map(|r| r.elapsed)
+            .fold(Duration::ZERO, Duration::max);
+        runtime += slowest;
+    } else {
+        // Warm + measure on both CPUs concurrently so contention shows.
+        let warm = run_smp_at(
+            &configs,
+            vec![kernel.emit_rows(0, 1), kernel.emit_rows(half, half + 1)],
+            mem,
+            cursor,
+        );
+        let warm_slowest = warm
+            .iter()
+            .map(|r| r.elapsed)
+            .fold(Duration::ZERO, Duration::max);
+        cursor += warm_slowest;
+        let measured = run_smp_at(
+            &configs,
+            vec![
+                kernel.emit_rows(1, 1 + SAMPLE_ROWS),
+                kernel.emit_rows(half + 1, half + 1 + SAMPLE_ROWS),
+            ],
+            mem,
+            cursor,
+        );
+        let slowest = measured
+            .iter()
+            .map(|r| r.elapsed)
+            .fold(Duration::ZERO, Duration::max);
+        runtime += (slowest / SAMPLE_ROWS as u64) * half as u64;
+    }
 
-        MatMultMeasurement {
-            n,
-            mflops: kernel.flops_total() as f64 / runtime.as_secs_f64() / 1e6,
-            runtime,
-            sampled,
-        }
-    })
+    MatMultMeasurement {
+        n,
+        mflops: kernel.flops_total() as f64 / runtime.as_secs_f64() / 1e6,
+        runtime,
+        sampled,
+    }
 }
 
 /// Measures the cache-blocked multiply (the `tiling` ablation): one
 /// warm-up block-row, one measured block-row, extrapolated.
 pub fn measure_blocked(system: &System, n: usize, tile: usize) -> MatMultMeasurement {
     let kernel = BlockedMatMult::new(n, tile);
-    with_node_mem(system.node.mem, |mem| {
-        let mut cpu = Cpu::new(system.node.cpu.clone());
-        let blocks = kernel.block_rows();
+    let mem = &mut MemorySystem::new(system.node.mem);
+    let mut cpu = Cpu::new(system.node.cpu.clone());
+    let blocks = kernel.block_rows();
 
-        let mut runtime = Duration::ZERO;
-        let sampled = blocks > 2;
-        if !sampled {
-            let r = cpu.execute_at(kernel.emit_block_rows(0, blocks), mem, 0, Time::ZERO);
-            runtime += r.elapsed;
-        } else {
-            let warm = cpu.execute_at(kernel.emit_block_rows(0, 1), mem, 0, Time::ZERO);
-            let measured = cpu.execute_at(kernel.emit_block_rows(1, 2), mem, 0, warm.finished_at);
-            runtime += measured.elapsed * blocks as u64;
-        }
-        MatMultMeasurement {
-            n,
-            mflops: kernel.flops_total() as f64 / runtime.as_secs_f64() / 1e6,
-            runtime,
-            sampled,
-        }
-    })
+    let mut runtime = Duration::ZERO;
+    let sampled = blocks > 2;
+    if !sampled {
+        let r = cpu.execute_at(kernel.emit_block_rows(0, blocks), mem, 0, Time::ZERO);
+        runtime += r.elapsed;
+    } else {
+        let warm = cpu.execute_at(kernel.emit_block_rows(0, 1), mem, 0, Time::ZERO);
+        let measured = cpu.execute_at(kernel.emit_block_rows(1, 2), mem, 0, warm.finished_at);
+        runtime += measured.elapsed * blocks as u64;
+    }
+    MatMultMeasurement {
+        n,
+        mflops: kernel.flops_total() as f64 / runtime.as_secs_f64() / 1e6,
+        runtime,
+        sampled,
+    }
 }
 
 /// Dual-processor speedup for one size (Figure 8's y-axis).

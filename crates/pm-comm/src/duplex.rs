@@ -203,14 +203,6 @@ impl DuplexChannel {
     pub fn bytes(&self) -> (u64, u64) {
         (self.a_to_b.bytes(), self.b_to_a.bytes())
     }
-
-    /// Resets both directions and drops queued messages.
-    pub fn reset(&mut self) {
-        self.a_to_b.reset();
-        self.b_to_a.reset();
-        self.queue_ab.clear();
-        self.queue_ba.clear();
-    }
 }
 
 #[cfg(test)]
@@ -273,15 +265,6 @@ mod tests {
             assert_eq!(m.payload()[0], i);
             rt = nt;
         }
-    }
-
-    #[test]
-    fn reset_drops_pending() {
-        let mut ch = channel();
-        ch.send(Side::A, Time::ZERO, Message::new(vec![9]));
-        ch.reset();
-        assert_eq!(ch.recv(Side::B, Time::ZERO).unwrap_err(), RecvError::Empty);
-        assert_eq!(ch.bytes(), (0, 0));
     }
 
     #[test]

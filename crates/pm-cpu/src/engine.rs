@@ -112,10 +112,6 @@ impl UnitPool {
         self.next_issue[idx] = start + cycle * self.timing.initiation as u64;
         (start, start + cycle * self.timing.latency as u64)
     }
-
-    fn reset(&mut self) {
-        self.next_issue.fill(Time::ZERO);
-    }
 }
 
 /// The CPU timing model.
@@ -410,7 +406,6 @@ impl Cpu {
             &mut self.fp_mul,
             &mut self.fp_div,
         ] {
-            p.reset();
             p.next_issue.fill(start);
         }
         self.lsu_next = start;

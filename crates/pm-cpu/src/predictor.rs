@@ -75,13 +75,6 @@ impl BranchPredictor {
             self.mispredicts as f64 / self.lookups as f64
         }
     }
-
-    /// Resets counters and statistics.
-    pub fn reset(&mut self) {
-        self.table.fill(1);
-        self.lookups = 0;
-        self.mispredicts = 0;
-    }
 }
 
 #[cfg(test)]
@@ -144,14 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_training() {
+    fn starts_weakly_not_taken() {
         let mut bp = BranchPredictor::new(16);
-        for _ in 0..8 {
-            bp.predict_and_update(0, true);
-        }
-        bp.reset();
         assert_eq!(bp.lookups(), 0);
-        // Back to weakly not-taken: first taken prediction is wrong.
+        // Weakly not-taken: the first taken prediction is wrong.
         assert!(!bp.predict_and_update(0, true));
     }
 }

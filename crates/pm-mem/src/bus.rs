@@ -253,30 +253,6 @@ impl SnoopBus {
         self.stats
     }
 
-    /// Resets occupancy and statistics.
-    pub fn reset(&mut self) {
-        self.addr.reset();
-        self.shared_data.reset();
-        for p in &mut self.port_data {
-            p.reset();
-        }
-        self.stats = BusStats::default();
-    }
-
-    /// Re-shapes this bus to `config` with `masters` ports and resets all
-    /// occupancy timelines. Equivalent to `SnoopBus::new(config, masters)`
-    /// apart from retained heap capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `masters` is zero.
-    pub fn reset_to(&mut self, config: BusConfig, masters: usize) {
-        assert!(masters > 0, "bus needs at least one master");
-        self.port_data.resize_with(masters, Resource::new);
-        self.config = config;
-        self.reset();
-    }
-
     fn data_resource(&mut self, master: usize) -> &mut Resource {
         match self.config.data_path {
             DataPath::Shared => &mut self.shared_data,

@@ -104,14 +104,10 @@ impl Cache {
     pub fn new(geometry: CacheGeometry) -> Self {
         Cache {
             geometry,
-            lines: vec![EMPTY; Self::slots(geometry)],
+            lines: vec![EMPTY; geometry.sets() as usize * geometry.ways() as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    fn slots(geometry: CacheGeometry) -> usize {
-        geometry.sets() as usize * geometry.ways() as usize
     }
 
     /// The cache geometry.
@@ -234,23 +230,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Clears contents and statistics.
-    pub fn reset(&mut self) {
-        self.lines.fill(EMPTY);
-        self.clock = 0;
-        self.stats = CacheStats::default();
-    }
-
-    /// Re-shapes this cache to `geometry` and cold-resets it, reusing the
-    /// slot array instead of reallocating whenever it is large enough.
-    /// After the call the cache is indistinguishable from
-    /// `Cache::new(geometry)` except for retained heap capacity.
-    pub fn reset_to(&mut self, geometry: CacheGeometry) {
-        self.lines.resize(Self::slots(geometry), EMPTY);
-        self.geometry = geometry;
-        self.reset();
-    }
 }
 
 #[cfg(test)]
@@ -355,16 +334,6 @@ mod tests {
         c.lookup(0);
         c.lookup(0);
         assert!((c.stats().miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = small();
-        c.fill(0, MesiState::Modified);
-        c.lookup(0);
-        c.reset();
-        assert_eq!(c.resident_lines(), 0);
-        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]

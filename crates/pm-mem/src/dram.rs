@@ -160,32 +160,6 @@ impl Dram {
     pub fn bank_conflicts(&self) -> u64 {
         self.bank_conflicts
     }
-
-    /// Resets all banks to idle.
-    pub fn reset(&mut self) {
-        for b in &mut self.banks {
-            b.reset();
-        }
-        self.pins.reset();
-        self.accesses = 0;
-        self.bank_conflicts = 0;
-    }
-
-    /// Re-shapes this DRAM to `config` and cold-resets it, reusing the
-    /// bank array. Equivalent to `Dram::new(config)` afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured bank count is zero or not a power of two.
-    pub fn reset_to(&mut self, config: DramConfig) {
-        assert!(
-            config.banks.is_power_of_two(),
-            "bank count must be a power of two"
-        );
-        self.banks.resize_with(config.banks as usize, Resource::new);
-        self.config = config;
-        self.reset();
-    }
 }
 
 #[cfg(test)]
@@ -254,16 +228,6 @@ mod tests {
             (600.0..680.0).contains(&peak),
             "peak {peak:.1} MB/s should be about 640"
         );
-    }
-
-    #[test]
-    fn reset_frees_banks() {
-        let mut d = Dram::new(DramConfig::pc_sdram());
-        d.access(0, Time::ZERO);
-        d.reset();
-        let (s, _) = d.access(0, Time::ZERO);
-        assert_eq!(s, Time::ZERO);
-        assert_eq!(d.accesses(), 1);
     }
 
     #[test]

@@ -538,57 +538,13 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Cold-resets caches, bus and DRAM, keeping the configuration.
-    pub fn reset(&mut self) {
-        for c in &mut self.cpus {
-            c.l1.reset();
-            c.l2.reset();
-            c.tlb.reset();
-        }
-        self.bus.reset();
-        self.dram.reset();
-        self.interventions = 0;
-        self.upgrades = 0;
-    }
-
-    /// Reconfigures this instance in place to `config` and cold-resets it.
-    ///
-    /// After the call the system behaves identically to
-    /// `MemorySystem::new(config)` — every tag store, LRU clock, MESI
-    /// state, occupancy timeline and counter is back at its cold value —
-    /// but tag-store allocations are reused wherever the new geometry
-    /// permits. This is the reuse seam the sweep loops in `pm-core` hook
-    /// into via [`crate::pool::with_node_mem`] so a sweep point costs no
-    /// provisioning allocations.
+    /// Replaces this instance with `MemorySystem::new(config)`.
     ///
     /// # Panics
     ///
     /// Same requirements as [`MemorySystem::new`].
     pub fn reset_to(&mut self, config: HierarchyConfig) {
-        assert!(config.cpus > 0, "node needs at least one CPU");
-        assert_eq!(
-            config.l1.line_bytes(),
-            config.l2.line_bytes(),
-            "L1/L2 line sizes must match for the inclusive hierarchy"
-        );
-        self.cpus.truncate(config.cpus);
-        for c in &mut self.cpus {
-            c.l1.reset_to(config.l1);
-            c.l2.reset_to(config.l2);
-            c.tlb.reset_to(config.tlb);
-        }
-        while self.cpus.len() < config.cpus {
-            self.cpus.push(CpuCaches {
-                l1: Cache::new(config.l1),
-                l2: Cache::new(config.l2),
-                tlb: Tlb::new(config.tlb),
-            });
-        }
-        self.bus.reset_to(config.bus, config.cpus);
-        self.dram.reset_to(config.dram);
-        self.interventions = 0;
-        self.upgrades = 0;
-        self.config = config;
+        *self = MemorySystem::new(config);
     }
 
     fn upgrade(&mut self, cpu: usize, addr: u64, t: Time) -> Time {
@@ -812,15 +768,6 @@ mod tests {
     fn rejects_bad_cpu() {
         let mut m = pm(1);
         m.access(1, Access::read(0), Time::ZERO);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut m = pm(1);
-        m.access(0, Access::read(0x7000), Time::ZERO);
-        m.reset();
-        let r = m.access(0, Access::read(0x7000), Time::ZERO);
-        assert_eq!(r.level, ServiceLevel::Dram);
     }
 }
 

@@ -19,9 +19,8 @@
 //! * [`hierarchy`] — the composed [`hierarchy::MemorySystem`]: per-CPU
 //!   L1 + L2, shared snoop bus, DRAM; returns access latency and records
 //!   hit/miss/intervention statistics.
-//! * [`pool`] — per-thread reuse of `MemorySystem` instances so sweep
-//!   loops pay the tag-store allocations once per worker, not once per
-//!   sweep point.
+//! * [`pool`] — `with_node_mem`, which hands a sweep point a cold
+//!   `MemorySystem`.
 //!
 //! # Examples
 //!
@@ -52,5 +51,4 @@ pub use dram::{Dram, DramConfig};
 pub use geometry::CacheGeometry;
 pub use hierarchy::{Access, AccessResult, HierarchyConfig, MemorySystem, ServiceLevel};
 pub use mesi::{MesiState, SnoopKind};
-pub use pool::with_node_mem;
 pub use tlb::{Tlb, TlbConfig, TlbStats};

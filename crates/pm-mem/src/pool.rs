@@ -1,53 +1,9 @@
-//! Per-thread reuse of [`MemorySystem`] instances across sweep points.
-//!
-//! Constructing a `MemorySystem` is the most allocation-heavy step of a
-//! MatMult/HINT sweep point: the MPC620 node's 2-MB direct-mapped L2
-//! alone is 32768 tag sets per CPU. The experiments construct one system
-//! per sweep point and throw it away, so under `par_sweep` each worker
-//! thread pays that provisioning cost thousands of times per bundle.
-//!
-//! [`with_node_mem`] replaces `MemorySystem::new(cfg)` at those call
-//! sites: each thread keeps one cached instance and re-shapes it with
-//! [`MemorySystem::reset_to`], which reuses the tag-store allocations.
-//! Because `reset_to` restores exact cold-start state (the contract
-//! `tests/parity.rs` enforces), the simulated numbers are byte-identical
-//! to the fresh-construction path — only wall-clock changes.
-//!
-//! The cache is thread-local, so `par_sweep` workers never contend and
-//! the determinism of the parallel harness is untouched. A nested
-//! `with_node_mem` call simply constructs fresh (the outer call holds
-//! the cached instance); no experiment nests today.
-//!
-//! [`set_reuse`]`(false)` disables the cache on the calling thread —
-//! the parity tests and the fresh-vs-reused tinybench entries use it to
-//! drive the exact same experiment code down both paths.
+//! The sweep-point entry into a cold [`MemorySystem`].
 
 use crate::hierarchy::{HierarchyConfig, MemorySystem};
-use std::cell::{Cell, RefCell};
 
-thread_local! {
-    static NODE_MEM: RefCell<Option<MemorySystem>> = const { RefCell::new(None) };
-    static REUSE: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Enables or disables instance reuse on the calling thread.
-///
-/// With reuse off, [`with_node_mem`] constructs a fresh `MemorySystem`
-/// per call — the reference path the parity suite compares against.
-pub fn set_reuse(enabled: bool) {
-    REUSE.with(|r| r.set(enabled));
-}
-
-/// Whether the calling thread currently reuses cached instances.
-pub fn reuse_enabled() -> bool {
-    REUSE.with(|r| r.get())
-}
-
-/// Runs `f` with a cold `MemorySystem` configured as `config`.
-///
-/// Reuses the calling thread's cached instance when possible (see the
-/// module docs); behaviour is indistinguishable from
-/// `f(&mut MemorySystem::new(config))`.
+/// Runs `f` on `MemorySystem::new(config)`; nothing is kept between
+/// calls.
 ///
 /// # Examples
 ///
@@ -59,78 +15,10 @@ pub fn reuse_enabled() -> bool {
 /// let cfg = HierarchyConfig::mpc620_node(1);
 /// for _ in 0..2 {
 ///     let r = with_node_mem(cfg, |mem| mem.access(0, Access::read(0x40), Time::ZERO));
-///     // The instance always starts cold: the second sweep point misses
-///     // to DRAM again even though the first one touched the same line.
+///     // Every call starts cold: the second one misses to DRAM again.
 ///     assert_eq!(r.level, ServiceLevel::Dram);
 /// }
 /// ```
 pub fn with_node_mem<R>(config: HierarchyConfig, f: impl FnOnce(&mut MemorySystem) -> R) -> R {
-    if !reuse_enabled() {
-        return f(&mut MemorySystem::new(config));
-    }
-    // Take the cached instance out of the slot for the duration of `f`:
-    // a nested call then sees an empty slot and constructs fresh, and a
-    // panic inside `f` just drops the instance instead of poisoning it.
-    let mut mem = match NODE_MEM.with(|slot| slot.borrow_mut().take()) {
-        Some(mut m) => {
-            m.reset_to(config);
-            m
-        }
-        None => MemorySystem::new(config),
-    };
-    let r = f(&mut mem);
-    NODE_MEM.with(|slot| *slot.borrow_mut() = Some(mem));
-    r
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hierarchy::Access;
-    use pm_sim::time::Time;
-
-    #[test]
-    fn pooled_instance_starts_cold_every_time() {
-        let cfg = HierarchyConfig::mpc620_node(2);
-        let first = with_node_mem(cfg, |mem| mem.access(0, Access::write(0x100), Time::ZERO));
-        let second = with_node_mem(cfg, |mem| mem.access(0, Access::write(0x100), Time::ZERO));
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn pool_survives_config_changes() {
-        let a = HierarchyConfig::mpc620_node(2);
-        let b = HierarchyConfig::sun_ultra_node(1);
-        let fresh = {
-            let mut m = MemorySystem::new(b);
-            m.access(0, Access::read(0x2040), Time::ZERO)
-        };
-        with_node_mem(a, |mem| {
-            mem.access(1, Access::write(0x2040), Time::ZERO);
-        });
-        let reused = with_node_mem(b, |mem| mem.access(0, Access::read(0x2040), Time::ZERO));
-        assert_eq!(fresh, reused);
-    }
-
-    #[test]
-    fn nested_calls_fall_back_to_fresh() {
-        let cfg = HierarchyConfig::mpc620_node(1);
-        let (outer, inner) = with_node_mem(cfg, |outer_mem| {
-            let inner = with_node_mem(cfg, |inner_mem| {
-                inner_mem.access(0, Access::read(0x40), Time::ZERO)
-            });
-            (outer_mem.access(0, Access::read(0x40), Time::ZERO), inner)
-        });
-        assert_eq!(outer, inner);
-    }
-
-    #[test]
-    fn disabling_reuse_constructs_fresh() {
-        let cfg = HierarchyConfig::mpc620_node(1);
-        set_reuse(false);
-        let off = with_node_mem(cfg, |mem| mem.access(0, Access::read(0x80), Time::ZERO));
-        set_reuse(true);
-        let on = with_node_mem(cfg, |mem| mem.access(0, Access::read(0x80), Time::ZERO));
-        assert_eq!(off, on);
-    }
+    f(&mut MemorySystem::new(config))
 }

@@ -131,16 +131,24 @@ impl Tlb {
     /// Panics unless the page size is a power of two, the TLB has at
     /// least one entry, and `ways` is nonzero and divides `entries`.
     pub fn new(config: TlbConfig) -> Self {
-        let mut tlb = Tlb {
+        assert!(
+            config.page_bytes.is_power_of_two(),
+            "page size power of two"
+        );
+        assert!(config.entries > 0, "TLB needs at least one entry");
+        assert!(
+            config.ways > 0 && config.entries.is_multiple_of(config.ways),
+            "ways must divide entries"
+        );
+        let sets = u64::from(config.entries / config.ways);
+        Tlb {
             config,
-            entries: Vec::new(),
-            page_shift: 0,
-            set_mask: None,
+            entries: vec![Entry::default(); config.entries as usize],
+            page_shift: config.page_bytes.trailing_zeros(),
+            set_mask: sets.is_power_of_two().then_some(sets - 1),
             clock: 0,
             stats: TlbStats::default(),
-        };
-        tlb.reset_to(config);
-        tlb
+        }
     }
 
     /// The configuration.
@@ -185,39 +193,6 @@ impl Tlb {
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
-    }
-
-    /// Clears all entries and statistics.
-    pub fn reset(&mut self) {
-        self.entries.fill(Entry::default());
-        self.clock = 0;
-        self.stats = TlbStats::default();
-    }
-
-    /// Re-shapes this TLB to `config` and cold-resets it, reusing the
-    /// entry array where possible. Equivalent to `Tlb::new(config)` apart
-    /// from retained heap capacity.
-    ///
-    /// # Panics
-    ///
-    /// Same geometry requirements as [`Tlb::new`].
-    pub fn reset_to(&mut self, config: TlbConfig) {
-        assert!(
-            config.page_bytes.is_power_of_two(),
-            "page size power of two"
-        );
-        assert!(config.entries > 0, "TLB needs at least one entry");
-        assert!(
-            config.ways > 0 && config.entries.is_multiple_of(config.ways),
-            "ways must divide entries"
-        );
-        let sets = u64::from(config.entries / config.ways);
-        self.entries
-            .resize(config.entries as usize, Entry::default());
-        self.page_shift = config.page_bytes.trailing_zeros();
-        self.set_mask = sets.is_power_of_two().then_some(sets - 1);
-        self.config = config;
-        self.reset();
     }
 }
 
@@ -286,15 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_entries() {
-        let mut t = Tlb::new(TlbConfig::pentium_ii());
-        t.translate(0);
-        t.reset();
-        assert!(!t.translate(0));
-        assert_eq!(t.stats().misses, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_panics() {
         Tlb::new(TlbConfig {
@@ -302,16 +268,6 @@ mod tests {
             ways: 1,
             page_bytes: 4096,
             miss_penalty: Duration::ZERO,
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn reset_to_zero_entries_panics() {
-        let mut t = Tlb::new(TlbConfig::mpc620());
-        t.reset_to(TlbConfig {
-            entries: 0,
-            ..TlbConfig::mpc620()
         });
     }
 

@@ -134,10 +134,8 @@ impl TimedFifo {
             return Some(t);
         }
         // Scan recorded future pops for the first instant with room.
-        for &(pt, pop_cum) in &self.pops {
-            if pt <= t {
-                continue;
-            }
+        let future = self.pops.partition_point(|&(pt, _)| pt <= t);
+        for &(pt, pop_cum) in &self.pops[future..] {
             let level = (pushed - pop_cum) as u32;
             if level + bytes <= self.capacity {
                 return Some(pt);
@@ -145,40 +143,14 @@ impl TimedFifo {
         }
         None
     }
-
-    /// Earliest time at or after `t` at which `bytes` are present to pop,
-    /// given pushes recorded so far. `None` means the data has not been
-    /// pushed yet.
-    pub fn data_available(&self, t: Time, bytes: u32) -> Option<Time> {
-        let need = self.popped_by(Time::MAX) + bytes as u64;
-        // Find the first push instant where cumulative pushes reach `need`.
-        for &(pt, push_cum) in &self.pushes {
-            if push_cum >= need {
-                return Some(pt.max(t));
-            }
-        }
-        None
-    }
-
-    /// Clears all history.
-    pub fn reset(&mut self) {
-        self.pushes.clear();
-        self.pops.clear();
-    }
 }
 
+/// The cumulative count of the last event at or before `t` (several
+/// events can share a timestamp).
 fn cumulative_at(events: &[(Time, u64)], t: Time) -> u64 {
-    // Binary search for the last event at or before t.
-    match events.binary_search_by(|&(et, _)| et.cmp(&t)) {
-        Ok(mut i) => {
-            // Multiple events can share a timestamp; take the last.
-            while i + 1 < events.len() && events[i + 1].0 == t {
-                i += 1;
-            }
-            events[i].1
-        }
-        Err(0) => 0,
-        Err(i) => events[i - 1].1,
+    match events.partition_point(|&(et, _)| et <= t) {
+        0 => 0,
+        after => events[after - 1].1,
     }
 }
 
@@ -220,28 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn data_available_follows_pushes() {
-        let mut f = TimedFifo::new(64);
-        assert_eq!(f.data_available(t(0), 1), None);
-        f.push(t(50), 8);
-        f.push(t(90), 8);
-        assert_eq!(f.data_available(t(0), 8), Some(t(50)));
-        assert_eq!(f.data_available(t(0), 16), Some(t(90)));
-        assert_eq!(f.data_available(t(200), 16), Some(t(200)));
-    }
-
-    #[test]
-    fn data_available_accounts_for_prior_pops() {
-        let mut f = TimedFifo::new(64);
-        f.push(t(10), 16);
-        f.pop(t(20), 16);
-        // The next 8 bytes have not been pushed yet.
-        assert_eq!(f.data_available(t(20), 8), None);
-        f.push(t(30), 8);
-        assert_eq!(f.data_available(t(20), 8), Some(t(30)));
-    }
-
-    #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut f = TimedFifo::new(10);
@@ -270,14 +220,5 @@ mod tests {
         f.push(t(10), 10);
         f.push(t(10), 20);
         assert_eq!(f.level(t(10)), 30);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut f = TimedFifo::new(16);
-        f.push(t(0), 16);
-        f.reset();
-        assert_eq!(f.level(t(0)), 0);
-        assert_eq!(f.space_available(t(0), 16), Some(t(0)));
     }
 }

@@ -107,12 +107,6 @@ impl Wire {
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
     }
-
-    /// Resets the wire to idle.
-    pub fn reset(&mut self) {
-        self.serializer.reset();
-        self.bytes_sent = 0;
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +165,5 @@ mod tests {
         let later = Time::from_ps(10_000_000);
         let (s, _) = w.send(later, 8);
         assert_eq!(s, later);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut w = Wire::new(WireConfig::synchronous());
-        w.send(Time::ZERO, 1000);
-        w.reset();
-        assert_eq!(w.bytes_sent(), 0);
-        let (s, _) = w.send(Time::ZERO, 1);
-        assert_eq!(s, Time::ZERO);
     }
 }

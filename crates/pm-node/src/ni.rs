@@ -206,10 +206,8 @@ impl NiDirection {
     /// recorded only).
     pub fn data_available(&self, t: Time, bytes: u32) -> Option<Time> {
         let need = self.popped + u64::from(bytes);
-        self.arrivals
-            .iter()
-            .find(|&&(_, cum)| cum >= need)
-            .map(|&(at, _)| at.max(t))
+        let landed = self.arrivals.partition_point(|&(_, cum)| cum < need);
+        self.arrivals.get(landed).map(|&(at, _)| at.max(t))
     }
 
     /// The receiving CPU pops `bytes` from the receive FIFO at `t`,
@@ -262,19 +260,6 @@ impl NiDirection {
             &format!("{prefix}/peak_recv_fifo_bytes"),
             u64::from(self.peak_recv_level),
         );
-    }
-
-    /// Resets FIFOs and the wire.
-    pub fn reset(&mut self) {
-        self.send_fifo.reset();
-        self.wire.reset();
-        self.credit.reset();
-        self.parked.clear();
-        self.arrivals.clear();
-        self.popped = 0;
-        self.bytes = 0;
-        self.stop_stalls = 0;
-        self.peak_recv_level = 0;
     }
 }
 
@@ -387,15 +372,6 @@ mod tests {
     fn oversized_chunk_panics() {
         let mut dir = NiDirection::new(NiConfig::powermanna());
         dir.push(Time::ZERO, 512);
-    }
-
-    #[test]
-    fn reset_restores_empty_state() {
-        let mut dir = NiDirection::new(NiConfig::powermanna());
-        dir.push(Time::ZERO, 64).unwrap();
-        dir.reset();
-        assert_eq!(dir.bytes(), 0);
-        assert!(dir.data_available(Time::ZERO, 1).is_none());
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl Node {
         run_smp(&configs, traces, &mut self.mem)
     }
 
-    /// Cold-resets caches and bus state between experiments.
-    pub fn reset(&mut self) {
-        self.mem.reset();
-    }
-
     /// Publishes the node's memory-system counters under `{prefix}/mem`
     /// (see [`MemorySystem::publish_metrics`]).
     pub fn publish_metrics(&self, reg: &mut pm_sim::metrics::MetricRegistry, prefix: &str) {
@@ -193,7 +188,7 @@ mod tests {
     fn run_single_and_smp() {
         let mut node = Node::powermanna();
         let single = node.run_single(fmadd_kernel(0, 1000));
-        node.reset();
+        let mut node = Node::powermanna();
         let both = node.run_smp(vec![fmadd_kernel(0, 500), fmadd_kernel(1 << 20, 500)]);
         assert_eq!(both.len(), 2);
         let smp_time = both
@@ -224,13 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_cache_warmth() {
+    fn new_node_starts_cold() {
         let mut node = Node::powermanna();
         let cold = node.run_single(fmadd_kernel(0, 1));
         let warm = node.run_single(fmadd_kernel(0, 1));
         assert!(warm.elapsed < cold.elapsed, "second run should hit caches");
-        node.reset();
-        let cold_again = node.run_single(fmadd_kernel(0, 1));
+        let cold_again = Node::powermanna().run_single(fmadd_kernel(0, 1));
         assert_eq!(cold_again.elapsed, cold.elapsed);
     }
 }

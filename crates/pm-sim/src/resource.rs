@@ -76,11 +76,6 @@ impl Resource {
             self.busy.as_ps() as f64 / horizon.as_ps() as f64
         }
     }
-
-    /// Resets the resource to free-at-zero, clearing statistics.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -108,14 +103,5 @@ mod tests {
         r.acquire(Time::ZERO, NS * 25);
         assert!((r.utilization(NS * 100) - 0.25).abs() < 1e-12);
         assert_eq!(r.utilization(Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn resource_reset_clears_state() {
-        let mut r = Resource::new();
-        r.acquire(Time::ZERO, NS);
-        r.reset();
-        assert_eq!(r.grants(), 0);
-        assert_eq!(r.acquire(Time::ZERO, NS), Time::ZERO);
     }
 }

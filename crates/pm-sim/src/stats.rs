@@ -54,11 +54,6 @@ impl Counter {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Resets the count to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
 }
 
 /// A power-of-two bucketed histogram for latency/size distributions.
@@ -523,8 +518,6 @@ mod tests {
         c.add(5);
         c.incr();
         assert_eq!(c.value(), 6);
-        c.reset();
-        assert_eq!(c.value(), 0);
     }
 
     #[test]

@@ -45,8 +45,8 @@ fn main() {
         single.ipc()
     );
 
-    // --- 3. The same work split across both processors -------------------
-    node.reset();
+    // --- 3. The same work split across both processors of a cold node ----
+    let mut node = Node::powermanna();
     let results = node.run_smp(vec![kernel(0x100_0000, 2048), kernel(0x900_0000, 2048)]);
     let slowest = results
         .iter()

@@ -1,29 +1,24 @@
-//! Parity suite for the zero-allocation hot paths.
+//! Parity suite: each fast or reused path against the path it stands
+//! in for.
 //!
-//! Two rewrites in this repo trade reconstruction for reuse:
-//!
-//! * `pm_mem::pool` hands sweep loops a *reused* [`MemorySystem`]
-//!   (reconfigured in place by `reset_to`) instead of a fresh one per
-//!   sweep point;
 //! * `pm_net::stopwire::stream_batched` computes stop-wire flow control
-//!   in closed-form segments instead of the per-flit tick loop.
+//!   in closed-form segments instead of the per-flit tick loop;
+//! * the flat tag stores of `pm_mem::cache::Cache` and `pm_mem::tlb::Tlb`
+//!   (one set-major slot array, sliced by shifts and masks) stand in for
+//!   the per-set `Vec` stores they replaced, which the suite keeps as a
+//!   reference model and drives with the same calls;
+//! * `MemorySystem::reset_to`, which pmbench calls between sweep points,
+//!   must leave a system exactly as `MemorySystem::new` builds it.
 //!
-//! Both are pure optimisations: the observable behaviour must be
-//! *byte-identical* to the naive paths. This suite runs both paths side
-//! by side over fixed-seed workloads and asserts identical stats; a
-//! single diverging counter anywhere fails the build.
-//!
-//! The same holds for the flat tag stores of `pm_mem::cache::Cache` and
-//! `pm_mem::tlb::Tlb` (one set-major slot array, sliced by shifts and
-//! masks): the suite keeps the per-set `Vec` stores they replaced as a
-//! reference model and drives both with the same calls.
+//! The observable behaviour must be *byte-identical* between the two
+//! sides. This suite runs both over fixed-seed workloads and asserts
+//! identical stats; a single diverging counter anywhere fails the build.
 
 use powermanna::machine::hintrun::run_hint;
-use powermanna::machine::matmultrun::{measure_blocked, measure_dual, measure_single};
 use powermanna::machine::systems;
 use powermanna::mem::hierarchy::AccessResult;
 use powermanna::mem::{
-    pool, Access, Cache, CacheGeometry, CacheStats, EvictedLine, HierarchyConfig, MemorySystem,
+    Access, Cache, CacheGeometry, CacheStats, EvictedLine, HierarchyConfig, MemorySystem,
     MesiState, Tlb, TlbConfig, TlbStats,
 };
 use powermanna::net::crossbar::CrossbarConfig;
@@ -35,7 +30,6 @@ use powermanna::net::stopwire::{
 use powermanna::net::topology::Topology;
 use powermanna::sim::rng::SimRng;
 use powermanna::sim::time::Time;
-use powermanna::workloads::matmult::MatMultVersion;
 
 /// One generator per test, derived from a test-specific tag so adding
 /// cases to one test never shifts another test's inputs.
@@ -99,10 +93,9 @@ fn drive(mem: &mut MemorySystem, seed: u64, ops: usize) -> MemFingerprint {
     }
 }
 
-/// The node configurations the sweeps actually use, in an order that
-/// forces `reset_to` to grow, shrink, and reshape every component
-/// (CPU count, cache geometry, line size, bus protocol, DRAM banks,
-/// TLB shape all change between neighbours).
+/// The node configurations the sweeps actually use, in an order where
+/// CPU count, cache geometry, line size, bus protocol, DRAM banks and
+/// TLB shape all change between neighbours.
 fn sweep_configs() -> Vec<HierarchyConfig> {
     vec![
         HierarchyConfig::mpc620_node(1),
@@ -137,9 +130,9 @@ fn reused_memory_system_matches_fresh_across_configs() {
     }
 }
 
-/// `reset_to` with the *same* config is exactly `reset`: rerunning the
-/// identical stream reproduces the identical fingerprint, so no warmth
-/// leaks across sweep points.
+/// `reset_to` with the *same* config leaves the system cold: rerunning
+/// the identical stream reproduces the identical fingerprint, so no
+/// warmth leaks across sweep points.
 #[test]
 fn reset_to_same_config_is_cold() {
     let mut rng = cases(2);
@@ -151,39 +144,6 @@ fn reset_to_same_config_is_cold() {
         let second = drive(&mut mem, seed, 200);
         assert_eq!(first, second, "state leaked across reset_to");
     }
-}
-
-/// The pooled sweep entry points produce the same measurements whether
-/// the thread-local pool is enabled (production) or bypassed (every
-/// call constructs fresh). The pool is deliberately poisoned with a
-/// different machine's configuration before the reused pass.
-#[test]
-fn pooled_measurements_match_fresh_construction() {
-    let pm = systems::powermanna();
-    let sun = systems::sun_ultra();
-
-    pool::set_reuse(false);
-    let fresh = (
-        measure_single(&pm, 48, MatMultVersion::Transposed),
-        measure_single(&pm, 128, MatMultVersion::Naive), // sampled path
-        measure_dual(&pm, 48, MatMultVersion::Transposed),
-        measure_blocked(&pm, 128, 32),
-        run_hint(&pm, powermanna::workloads::hint::HintType::Double, 1 << 15),
-    );
-
-    pool::set_reuse(true);
-    // Poison the pool: park a SUN-configured instance in the slot so the
-    // PowerMANNA measurements below must reconfigure it in place.
-    let _ = measure_single(&sun, 32, MatMultVersion::Naive);
-    let reused = (
-        measure_single(&pm, 48, MatMultVersion::Transposed),
-        measure_single(&pm, 128, MatMultVersion::Naive),
-        measure_dual(&pm, 48, MatMultVersion::Transposed),
-        measure_blocked(&pm, 128, 32),
-        run_hint(&pm, powermanna::workloads::hint::HintType::Double, 1 << 15),
-    );
-
-    assert_eq!(fresh, reused, "pooled sweep diverges from fresh sweep");
 }
 
 // --- Tag stores: flat slot arrays vs per-set vectors ---------------------
@@ -382,7 +342,7 @@ enum Reply {
     Nothing,
 }
 
-/// Drives `cache`, just reshaped to `g`, and a fresh reference with the
+/// Drives `cache`, just built as `g`, and a fresh reference with the
 /// same fixed-seed stream of every tag-store call, comparing each return
 /// value (victims included) and the touched line's state after it, then
 /// the statistics and resident count.
@@ -449,18 +409,15 @@ fn drive_tag_stores(cache: &mut Cache, g: CacheGeometry, rng: &mut SimRng, ops: 
 }
 
 /// The flat cache matches the per-set reference call for call on the
-/// L1 and L2 of all three machines. One instance serves every geometry
-/// through `reset_to`, so reshaping is covered too.
+/// L1 and L2 of all three machines.
 #[test]
 fn flat_cache_matches_per_set_reference() {
     let mut rng = cases(20);
     let geometries: Vec<CacheGeometry> =
         machine_nodes().iter().flat_map(|n| [n.l1, n.l2]).collect();
-    let mut cache = Cache::new(geometries[0]);
     for _round in 0..2 {
         for &g in &geometries {
-            cache.reset_to(g);
-            drive_tag_stores(&mut cache, g, &mut rng, 20_000);
+            drive_tag_stores(&mut Cache::new(g), g, &mut rng, 20_000);
         }
     }
 }
@@ -476,10 +433,9 @@ fn flat_tlb_matches_per_set_reference() {
         ways: 2,
         ..TlbConfig::mpc620()
     });
-    let mut tlb = Tlb::new(configs[0]);
     for _round in 0..2 {
         for &c in &configs {
-            tlb.reset_to(c);
+            let mut tlb = Tlb::new(c);
             let mut reference = RefTlb::new(c);
             let sets = (c.entries / c.ways) as u64;
             let mut addr = 0;
