@@ -76,6 +76,17 @@ comm_quick fig9 fig10 fig11 fig12 fifo_ablation collectives earth app_stencil
 node_quick table1 fig6a fig6b scale4 routing duallink
 GOLDENS
 
+echo "== full-size Fig 6 golden =="
+# node_quick.csv stops at 128 KiB, so no quick golden reaches the HINT
+# passes whose working set spills the 2 MB L2. This one runs Fig 6a/6b
+# at full size (to 24 MB), the numbers EXPERIMENTS.md quotes. Regenerate
+# an intentional change with:
+#   cargo run --release -p pm-bench --bin figures -- --csv fig6a fig6b \
+#     > tests/goldens/fig6_full.csv
+cargo run --release -p pm-bench --bin figures -- --csv fig6a fig6b \
+  < /dev/null > target/fig6_full.csv
+diff -u tests/goldens/fig6_full.csv target/fig6_full.csv
+
 echo "== observability golden (quick metrics registry) =="
 # The --metrics collection drives one deterministic scenario through
 # every substrate and dumps the registry as sorted CSV; any counter
