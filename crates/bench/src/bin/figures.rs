@@ -288,7 +288,7 @@ fn time_hot_paths(quick: bool) -> Vec<HotPath> {
     // flight. The fresh path rebuilds the simulator (adjacency and
     // crossbar link tables, route arena, event heap) per batch; the
     // pooled path reuses one simulator so a batch touches only
-    // recycled vectors.
+    // vectors it already allocated.
     let hierarchy_worms = pm_core::hierarchy::x13_hot_path_worms();
     let topo = Topology::system1024();
     let t = Instant::now();

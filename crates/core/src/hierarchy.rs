@@ -113,7 +113,7 @@ pub fn x13_worms(load: f64, load_idx: usize, quick: bool) -> (Vec<Worm>, Time) {
 
 /// On-time goodput of one hierarchy point in Mbyte/s, under `policy`.
 /// `sim` must have been built over [`Topology::system1024`]; reuse
-/// across points recycles its pooled buffers.
+/// across points keeps its pooled buffers.
 pub fn x13_hierarchy_goodput(
     sim: &mut RouteSim,
     load: f64,

@@ -66,9 +66,9 @@ impl HintRun {
 /// Runs HINT on one system until the working set reaches
 /// `max_memory_bytes`, returning the QUIPS curve.
 ///
-/// The run executes every pass's real instruction trace through the
-/// system's CPU + memory models, with simulated time carried across
-/// passes so cache warmth persists exactly as it would on hardware.
+/// The run streams every pass's instructions through the system's CPU +
+/// memory models, with simulated time carried across passes so cache
+/// warmth persists exactly as it would on hardware.
 ///
 /// # Examples
 ///
@@ -89,8 +89,7 @@ pub fn run_hint(system: &System, dtype: HintType, max_memory_bytes: u64) -> Hint
     let mut points = Vec::new();
     while hint.memory_bytes() < max_memory_bytes {
         let pass = hint.pass();
-        let result = cpu.execute_at(pass.trace.instrs().iter().copied(), mem, 0, cursor);
-        hint.recycle(pass.trace);
+        let result = cpu.execute_at(pass.ops, mem, 0, cursor);
         cursor = result.finished_at;
         elapsed += result.elapsed;
         let time_s = elapsed.as_secs_f64();

@@ -262,38 +262,6 @@ impl MpiWorld {
         self.reduce(0, bytes) + self.bcast(0, bytes)
     }
 
-    /// All-to-all personalised exchange: `n-1` rounds of pairwise
-    /// exchanges (the classic ring schedule), `bytes` per pair. Returns
-    /// the elapsed time until the slowest rank holds everything.
-    pub fn alltoall(&mut self, bytes: u32) -> Duration {
-        let n = self.size();
-        if n == 1 {
-            return Duration::ZERO;
-        }
-        let start = self.finish_time();
-        for c in &mut self.clocks {
-            *c = start;
-        }
-        for round in 1..n {
-            let snapshot = self.clocks.clone();
-            for (i, &round_clock) in snapshot.iter().enumerate() {
-                let peer = (i + round) % n;
-                let lat = self.p2p_latency(i, peer, bytes);
-                let deliver = round_clock + lat;
-                self.clocks[peer] = self.clocks[peer].max(deliver);
-                self.messages += 1;
-                self.bytes += u64::from(bytes);
-            }
-            // Ranks synchronise per round (each must send and receive
-            // before the ring advances).
-            let round_end = self.finish_time();
-            for c in &mut self.clocks {
-                *c = round_end;
-            }
-        }
-        self.finish_time().since(start)
-    }
-
     /// Nearest-neighbour halo exchange on a 1-D ring: every rank swaps
     /// `bytes` with both neighbours (the SPMD pattern the paper's §6
     /// T3E comparison is about). Returns the elapsed time.
@@ -413,23 +381,6 @@ mod tests {
         let mut b = world(24);
         assert_eq!(a.barrier(), b.barrier());
         assert_eq!(a.bcast(5, 512), b.bcast(5, 512));
-    }
-
-    #[test]
-    fn alltoall_grows_linearly_with_ranks() {
-        let t8 = world(8).alltoall(1024);
-        let t16 = world(16).alltoall(1024);
-        // n-1 rounds: roughly doubles.
-        let ratio = t16.as_secs_f64() / t8.as_secs_f64();
-        assert!((1.5..3.5).contains(&ratio), "alltoall ratio {ratio:.2}");
-        assert_eq!(world(1).alltoall(64), Duration::ZERO);
-    }
-
-    #[test]
-    fn alltoall_message_count() {
-        let mut w = world(8);
-        w.alltoall(64);
-        assert_eq!(w.messages(), 8 * 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Instruction traces and the builder workloads use to emit them.
 
-use crate::instr::{Instr, MemKind, OpClass, Reg, VAddr};
+use crate::instr::{Instr, OpClass, Reg, VAddr};
 
 /// Aggregate counts over a trace, used by workloads and the experiment
 /// harness to report operation mixes and MFLOPS.
@@ -32,16 +32,6 @@ impl TraceStats {
             _ => {}
         }
         self.flops += i.op.flops();
-    }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.instrs += other.instrs;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.flops += other.flops;
-        self.int_ops += other.int_ops;
-        self.branches += other.branches;
     }
 }
 
@@ -109,19 +99,6 @@ impl Trace {
     /// Iterates instructions in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, Instr> {
         self.instrs.iter()
-    }
-
-    /// Appends all instructions of `other`.
-    pub fn extend_from(&mut self, other: &Trace) {
-        self.instrs.extend_from_slice(&other.instrs);
-        self.stats.merge(&other.stats);
-    }
-
-    /// Consumes the trace and returns its instruction buffer, capacity
-    /// intact — hand it to [`TraceBuilder::reusing`] to emit the next
-    /// trace without reallocating.
-    pub fn into_instrs(self) -> Vec<Instr> {
-        self.instrs
     }
 }
 
@@ -237,21 +214,6 @@ impl TraceBuilder {
         Self::default()
     }
 
-    /// Creates a builder that emits into `buf`'s allocation. The vector
-    /// is cleared first; a builder reusing a warm buffer produces a
-    /// trace identical to one built from scratch, minus the
-    /// reallocations.
-    pub fn reusing(mut buf: Vec<Instr>) -> Self {
-        buf.clear();
-        TraceBuilder {
-            trace: Trace {
-                instrs: buf,
-                stats: TraceStats::default(),
-            },
-            names: RegNames::new(),
-        }
-    }
-
     /// Allocates a fresh register name (see [`RegNames`]).
     pub fn reg(&mut self) -> Reg {
         self.names.fresh()
@@ -261,14 +223,6 @@ impl TraceBuilder {
     pub fn load(&mut self, addr: u64, bytes: u8) -> Reg {
         let dst = self.reg();
         self.trace.push(Instr::load(dst, VAddr(addr), bytes, None));
-        dst
-    }
-
-    /// Emits a load whose address depends on `base` (pointer chase).
-    pub fn load_dep(&mut self, addr: u64, bytes: u8, base: Reg) -> Reg {
-        let dst = self.reg();
-        self.trace
-            .push(Instr::load(dst, VAddr(addr), bytes, Some(base)));
         dst
     }
 
@@ -354,40 +308,6 @@ impl TraceBuilder {
     }
 }
 
-/// Convenience: classify a trace's memory footprint (distinct cache lines
-/// touched for a given line size). Useful in tests and for working-set
-/// assertions in the HINT reproduction.
-pub fn distinct_lines<'a, I>(instrs: I, line_bytes: u64) -> usize
-where
-    I: IntoIterator<Item = &'a Instr>,
-{
-    let mut lines: Vec<u64> = instrs
-        .into_iter()
-        .filter_map(|i| i.mem.map(|m| m.addr.cache_line(line_bytes)))
-        .collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines.len()
-}
-
-/// Convenience: total bytes read and written by a trace.
-pub fn traffic_bytes<'a, I>(instrs: I) -> (u64, u64)
-where
-    I: IntoIterator<Item = &'a Instr>,
-{
-    let mut read = 0;
-    let mut written = 0;
-    for i in instrs {
-        if let Some(m) = i.mem {
-            match m.kind {
-                MemKind::Read => read += m.bytes as u64,
-                MemKind::Write => written += m.bytes as u64,
-            }
-        }
-    }
-    (read, written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,57 +355,9 @@ mod tests {
         assert_eq!(t.stats().loads, 4);
         let mut t2 = Trace::new();
         t2.extend(t.clone());
-        t2.extend_from(&t);
+        t2.extend(t);
         assert_eq!(t2.len(), 8);
         assert_eq!(t2.stats().loads, 8);
-    }
-
-    #[test]
-    fn distinct_lines_counts_lines_not_accesses() {
-        let mut tb = TraceBuilder::new();
-        for k in 0..16 {
-            tb.load(k * 8, 8); // 16 loads over 2 64-byte lines
-        }
-        let t = tb.finish();
-        assert_eq!(distinct_lines(t.iter(), 64), 2);
-        assert_eq!(distinct_lines(t.iter(), 32), 4);
-    }
-
-    #[test]
-    fn traffic_splits_reads_and_writes() {
-        let mut tb = TraceBuilder::new();
-        let v = tb.load(0, 8);
-        tb.store(v, 8, 4);
-        tb.store(v, 16, 4);
-        let t = tb.finish();
-        assert_eq!(traffic_bytes(t.iter()), (8, 8));
-    }
-
-    #[test]
-    fn reusing_a_buffer_matches_a_fresh_build() {
-        let emit = |mut tb: TraceBuilder| {
-            let a = tb.load(0, 8);
-            let b = tb.load(64, 8);
-            let c = tb.fmadd(a, b, a);
-            tb.store(c, 128, 8);
-            tb.branch(0, true, None);
-            tb.finish()
-        };
-        let fresh = emit(TraceBuilder::new());
-        // A dirty, over-sized buffer must not leak into the new trace.
-        let mut junk = TraceBuilder::new();
-        for k in 0..100 {
-            junk.load(k * 8, 8);
-        }
-        let buf = junk.finish().into_instrs();
-        let cap = buf.capacity();
-        let reused = emit(TraceBuilder::reusing(buf));
-        assert_eq!(fresh, reused);
-        assert_eq!(fresh.stats(), reused.stats());
-        assert!(
-            reused.into_instrs().capacity() >= cap,
-            "the warm allocation must survive the rebuild"
-        );
     }
 
     #[test]

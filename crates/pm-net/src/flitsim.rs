@@ -80,7 +80,7 @@ impl FlitSimResult {
 /// A reusable wormhole-crossbar simulator.
 ///
 /// All per-run state (per-port queues, waiter lists, the event queue,
-/// the arrival-order scratch) lives in this struct and is recycled
+/// the arrival-order scratch) lives in this struct and is reused
 /// between calls to [`FlitSim::run`], so an offered-load sweep that
 /// simulates hundreds of batches allocates its working set once instead
 /// of once per sweep point. [`simulate`] remains the one-shot
@@ -186,7 +186,7 @@ impl FlitSim {
 
     /// Simulates one packet batch; see [`simulate`] for the model.
     /// Results are identical to a fresh simulator's — reuse only
-    /// recycles allocations, never state.
+    /// keeps allocations, never state.
     ///
     /// # Panics
     ///

@@ -25,7 +25,7 @@
 //! instead of searching adjacency lists, arrivals merge from a sorted
 //! cursor against the event heap
 //! ([`pm_sim::event::EventQueue::pop_if_before`]), and a [`RouteSim`]
-//! reused across runs recycles every buffer.
+//! reused across runs keeps every buffer.
 //!
 //! Routing is a policy decided at injection time:
 //!
@@ -487,7 +487,7 @@ const NO_LINK: (u32, u32) = (u32::MAX, u32::MAX);
 /// and the crossbar link table that names the link from any crossbar
 /// toward any other); route selection then indexes tables and searches
 /// nothing.
-/// Reuse across runs recycles the route arena, waiter queues, event
+/// Reuse across runs keeps the route arena, waiter queues, event
 /// heap, dead-link flags and crossbar state — results are identical to
 /// a fresh simulator's.
 pub struct RouteSim {
@@ -730,7 +730,7 @@ impl RouteSim {
     /// the shared loop over an empty plan, with the watchdog off (a
     /// clean fabric orphans no port, and a hold-and-wait cycle must
     /// panic rather than be broken by kill-and-retry). Results are
-    /// identical to a fresh simulator's — reuse only recycles
+    /// identical to a fresh simulator's — reuse only keeps
     /// allocations.
     ///
     /// # Panics

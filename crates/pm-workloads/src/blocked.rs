@@ -8,7 +8,6 @@
 //! software, which sharpens the paper's hardware story (the long cache
 //! lines punish exactly the codes that do neither transform).
 
-use crate::matmult::MatMult;
 use pm_isa::{Instr, OpClass, Reg, RegNames, Trace, VAddr};
 
 /// A tiled `C = A * B` kernel over row-major matrices with odd strides.
@@ -121,11 +120,6 @@ impl BlockedMatMult {
             // runs t four-instruction k-iterations and stores C.
             left: (bi_end - bi_begin) * n * n * (4 * t + 2),
         }
-    }
-
-    /// The plain naive kernel at the same size, for side-by-side runs.
-    pub fn naive_equivalent(&self) -> MatMult {
-        MatMult::new(self.n, crate::matmult::MatMultVersion::Naive)
     }
 }
 

@@ -4,15 +4,15 @@
 //!   Snell): hierarchical refinement of the integral of `(1-x)/(1+x)`
 //!   over `[0,1]`, reporting QUIPS (quality improvements per second).
 //!   The kernel is *functional* — it really subdivides intervals and
-//!   bounds the integral — and simultaneously emits the instruction trace
-//!   its inner loop would execute, so the timing model sees the true
+//!   bounds the integral — and each pass streams the instructions its
+//!   inner loop would execute, so the timing model sees the true
 //!   working-set growth.
 //! * [`matmult`] — the NASPAR-style MatMult benchmark in the paper's two
 //!   versions: (a) naive row-by-column and (b) multiply-by-transpose
 //!   (including the transposition cost), with the odd-stride allocation
 //!   the figures specify. Large sizes are simulated by row sampling.
-//! * [`stream`] — streaming and pointer-chase micro-kernels used by the
-//!   scaling ablations.
+//! * [`stream`] — the STREAM triad micro-kernel used by the node-scaling
+//!   ablation.
 //! * [`traffic`] — deterministic multi-tenant traffic generation
 //!   (Poisson, bursty, hotspot, uniform all-to-all) for the X12
 //!   offered-load collapse study.
@@ -25,7 +25,7 @@
 //! let mut h = Hint::new(HintType::Double);
 //! let pass = h.pass();
 //! assert!(h.quality() > 1.0);
-//! assert!(pass.trace.stats().flops > 0);
+//! assert!(pass.ops.map(|i| i.op.flops()).sum::<u64>() > 0);
 //! ```
 
 pub mod blocked;

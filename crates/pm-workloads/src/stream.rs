@@ -1,11 +1,9 @@
-//! Streaming and pointer-chase micro-kernels.
+//! The STREAM triad micro-kernel.
 //!
-//! These are not paper figures by themselves; they drive the scaling
-//! ablations (experiment X1: how many CPUs the node design sustains) and
-//! give the examples something simple to measure.
+//! It is not a paper figure by itself; it drives the node-scaling
+//! ablation (experiment X1: how many CPUs the node design sustains).
 
 use pm_isa::{Trace, TraceBuilder};
-use pm_sim::rng::SimRng;
 
 /// A STREAM-style triad: `a[i] = b[i] + s * c[i]` over `elements`
 /// doubles, starting at `base`.
@@ -33,57 +31,9 @@ pub fn triad(base: u64, elements: usize) -> Trace {
     tb.finish()
 }
 
-/// A dependent pointer chase over `hops` nodes spread across
-/// `footprint_bytes` — every load's address depends on the previous
-/// load's value, defeating any overlap and exposing raw latency.
-///
-/// Deterministic for a given `seed`.
-///
-/// # Examples
-///
-/// ```
-/// use pm_workloads::stream::pointer_chase;
-///
-/// let t = pointer_chase(0x1000, 64 * 1024, 256, 42);
-/// assert_eq!(t.stats().loads, 256);
-/// ```
-pub fn pointer_chase(base: u64, footprint_bytes: u64, hops: usize, seed: u64) -> Trace {
-    let mut rng = SimRng::seed_from(seed);
-    let lines = (footprint_bytes / 64).max(1);
-    // A random permutation cycle over the cache lines in the footprint.
-    let mut order: Vec<u64> = (0..lines).collect();
-    rng.shuffle(&mut order);
-
-    let mut tb = TraceBuilder::new();
-    let mut prev = None;
-    for i in 0..hops {
-        let line = order[i % order.len()];
-        let addr = base + line * 64;
-        let loaded = match prev {
-            None => tb.load(addr, 8),
-            Some(p) => tb.load_dep(addr, 8, p),
-        };
-        prev = Some(loaded);
-    }
-    tb.finish()
-}
-
-/// A write-only fill of `elements` doubles at `base` (dirty-line
-/// generator for write-back experiments).
-pub fn fill(base: u64, elements: usize) -> Trace {
-    let mut tb = TraceBuilder::new();
-    let v = tb.reg();
-    for i in 0..elements as u64 {
-        tb.store(v, base + i * 8, 8);
-        tb.branch(0x400, i + 1 != elements as u64, None);
-    }
-    tb.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_isa::OpClass;
 
     #[test]
     fn triad_shape() {
@@ -93,49 +43,5 @@ mod tests {
         assert_eq!(s.stores, 100);
         assert_eq!(s.flops, 200);
         assert_eq!(s.branches, 100);
-    }
-
-    #[test]
-    fn pointer_chase_is_fully_dependent() {
-        let t = pointer_chase(0, 4096, 16, 1);
-        let loads: Vec<_> = t
-            .instrs()
-            .iter()
-            .filter(|i| i.op == OpClass::Load)
-            .collect();
-        assert_eq!(loads.len(), 16);
-        // Every load after the first carries the previous load's dest as
-        // its address base.
-        for w in loads.windows(2) {
-            assert_eq!(w[1].src1, w[0].dst);
-        }
-    }
-
-    #[test]
-    fn pointer_chase_deterministic_per_seed() {
-        let a = pointer_chase(0, 1 << 16, 64, 7);
-        let b = pointer_chase(0, 1 << 16, 64, 7);
-        let c = pointer_chase(0, 1 << 16, 64, 8);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn pointer_chase_stays_in_footprint() {
-        let base = 0x8000;
-        let fp = 1 << 14;
-        let t = pointer_chase(base, fp, 500, 3);
-        for i in t.instrs() {
-            if let Some(m) = i.mem {
-                assert!(m.addr.0 >= base && m.addr.0 < base + fp);
-            }
-        }
-    }
-
-    #[test]
-    fn fill_writes_only() {
-        let t = fill(0, 32);
-        assert_eq!(t.stats().loads, 0);
-        assert_eq!(t.stats().stores, 32);
     }
 }

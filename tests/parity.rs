@@ -765,36 +765,8 @@ fn backpressure_state_does_not_leak_into_plain_runs() {
     assert_eq!(after.stalled_link_ticks, 0);
 }
 
-/// HINT's per-pass trace pooling (`Hint::recycle` feeding
-/// `TraceBuilder::reusing`) is allocation reuse only: a benchmark that
-/// recycles every pass buffer emits byte-identical traces, statistics
-/// and functional results to one that never does.
-#[test]
-fn hint_trace_pooling_matches_fresh_buffers() {
-    use powermanna::workloads::hint::{Hint, HintType};
-    for dtype in [HintType::Double, HintType::Int] {
-        let mut pooled = Hint::new(dtype);
-        let mut fresh = Hint::new(dtype);
-        for pass in 0..14 {
-            let p = pooled.pass();
-            let f = fresh.pass();
-            assert_eq!(
-                p.trace, f.trace,
-                "{dtype:?} pass {pass}: pooled trace diverged"
-            );
-            assert_eq!(p.trace.stats(), f.trace.stats());
-            assert_eq!(p.quality, f.quality);
-            assert_eq!(p.memory_bytes, f.memory_bytes);
-            assert_eq!(p.improvements, f.improvements);
-            pooled.recycle(p.trace);
-        }
-        assert_eq!(pooled.quality(), fresh.quality());
-    }
-}
-
-/// The full QUIPS pipeline (which recycles through `run_hint`) is
-/// deterministic and unchanged by how many times it runs in a process —
-/// pooled buffers cannot leak state across runs.
+/// The full QUIPS pipeline is deterministic and unchanged by how many
+/// times it runs in a process: no state leaks from one run to the next.
 #[test]
 fn hint_run_is_stable_across_repeated_runs() {
     use powermanna::workloads::hint::HintType;
