@@ -9,8 +9,10 @@
 //! * [`Instr`] — one micro-operation with an [`OpClass`], up to two source
 //!   registers, a destination register and an optional memory reference or
 //!   branch descriptor.
-//! * [`TraceBuilder`] — an ergonomic emitter used by the workload kernels
-//!   in `pm-workloads` (HINT, MatMult) to produce instruction streams.
+//! * [`TraceBuilder`] — an ergonomic emitter that materialises small
+//!   kernels (the STREAM triad, the stencil) and the test oracles. The
+//!   lazy HINT and MatMult emitters in `pm-workloads` name registers from
+//!   the same [`RegNames`] sequence.
 //!
 //! The CPU model in `pm-cpu` executes any `IntoIterator<Item = Instr>`, so
 //! traces may be materialised (small kernels) or generated lazily (large
