@@ -76,16 +76,26 @@ comm_quick fig9 fig10 fig11 fig12 fifo_ablation collectives earth app_stencil
 node_quick table1 fig6a fig6b scale4 routing duallink
 GOLDENS
 
-echo "== full-size Fig 6 golden =="
-# node_quick.csv stops at 128 KiB, so no quick golden reaches the HINT
-# passes whose working set spills the 2 MB L2. This one runs Fig 6a/6b
-# at full size (to 24 MB), the numbers EXPERIMENTS.md quotes. Regenerate
-# an intentional change with:
-#   cargo run --release -p pm-bench --bin figures -- --csv fig6a fig6b \
-#     > tests/goldens/fig6_full.csv
-cargo run --release -p pm-bench --bin figures -- --csv fig6a fig6b \
-  < /dev/null > target/fig6_full.csv
-diff -u tests/goldens/fig6_full.csv target/fig6_full.csv
+echo "== full-size CSV goldens =="
+# The quick goldens stop short of the sizes EXPERIMENTS.md quotes. These
+# run the same experiments at full size, one golden per line as above:
+# fig6_full holds Fig 6a/6b to 24 MB (node_quick.csv stops at 128 KiB,
+# before the HINT working set spills the 2 MB L2), about 12 s on 2
+# workers; net_full holds the network experiments (X2, X4, X5, X6, X12
+# and X13, including the X12 knees and the 8x8 mesh series), about 3 s.
+# Regenerate an intentional change with:
+#   cargo run --release -p pm-bench --bin figures -- --csv \
+#     <ids> > tests/goldens/<golden>.csv
+while read -r golden ids; do
+  echo "-- $golden: $ids"
+  # $ids is unquoted on purpose: one argument per experiment id.
+  cargo run --release -p pm-bench --bin figures -- --csv $ids \
+    < /dev/null > "target/$golden.csv"
+  diff -u "tests/goldens/$golden.csv" "target/$golden.csv"
+done <<'GOLDENS'
+fig6_full fig6a fig6b
+net_full routing duallink blocking mesh_vs_xbar traffic hierarchy
+GOLDENS
 
 echo "== observability golden (quick metrics registry) =="
 # The --metrics collection drives one deterministic scenario through
