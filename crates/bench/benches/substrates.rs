@@ -133,32 +133,14 @@ fn bench_stopwire(r: &mut Runner) {
         stopwire::stream_batched(c, 0, 65536, &windows)
     });
 
-    // The same idea end to end: a 64-KB worm over a 4-segment route
-    // (sync, async, async, sync — an inter-cluster path) whose
-    // destination stalls half of every window, chained per segment.
+    // End to end: a 64-KB worm over a 4-segment route (sync, async,
+    // async, sync — an inter-cluster path) whose destination stalls
+    // half of every window, chained per segment.
     let asynchronous = pm_net::transceiver::TransceiverConfig::default().stop_wire();
     let segments = [c, asynchronous, asynchronous, c];
     let windows: Vec<(u64, u64)> = (0..256u64).map(|i| (i * 1024, i * 1024 + 512)).collect();
-    r.bench("stopwire/route_64k_saturated_per_flit", {
-        let windows = windows.clone();
-        move || {
-            stopwire::stream_route(
-                stopwire::StopWireEngine::PerFlit,
-                &segments,
-                0,
-                65536,
-                &windows,
-            )
-        }
-    });
     r.bench("stopwire/route_64k_saturated_batched", move || {
-        stopwire::stream_route(
-            stopwire::StopWireEngine::Batched,
-            &segments,
-            0,
-            65536,
-            &windows,
-        )
+        stopwire::stream_route(&segments, 0, 65536, &windows)
     });
 }
 

@@ -18,14 +18,10 @@
 
 use pm_core::experiments::{all_experiments, find, headline_checks};
 use pm_core::report::{render_terminal, run_all, write_bundle};
-use pm_net::flitsim::{self, Backpressure};
-use pm_net::network::{Network, RouteBackpressure};
 use pm_net::routesim::{RoutePolicy, RouteSim};
-use pm_net::stopwire::{StopWireConfig, StopWireEngine};
 use pm_net::topology::Topology;
 use pm_sim::metrics::MetricRegistry;
 use pm_sim::par;
-use pm_sim::time::Time;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
@@ -217,71 +213,13 @@ struct HotPath {
     optimized_ms: f64,
 }
 
-/// Times the hot paths against their naive baselines (see
-/// `tests/parity.rs` for the proof that the fast paths are
-/// behaviour-preserving):
+/// Times the hot paths against their naive baselines:
 ///
-/// * a saturated backpressured crossbar batch, per-flit stop-wire
-///   bookkeeping vs the batched closed-form engine;
-/// * a backpressured 3-crossbar route, the same two engines;
 /// * the 1024-worm hierarchy permutation, fresh simulator per batch vs
 ///   the pooled `RouteSim` reuse `tests/bench_guard.rs` budgets;
 /// * the resilient loop under a small fault campaign, fresh vs pooled.
 fn time_hot_paths(quick: bool) -> Vec<HotPath> {
     let reps = if quick { 20 } else { 50 };
-
-    // Saturated crossbar: long worms through outputs that stall half of
-    // every window, so the per-flit engine walks millions of link ticks
-    // while the batched engine only visits the transitions.
-    let cfg = pm_net::crossbar::CrossbarConfig::powermanna();
-    let packets = flitsim::hotspot_traffic(cfg, if quick { 2 } else { 4 }, 4096);
-    let windows: Vec<Vec<(u64, u64)>> = (0..cfg.ports)
-        .map(|_| (0..400u64).map(|i| (i * 1000, i * 1000 + 500)).collect())
-        .collect();
-    let engine_ms = |engine| {
-        let bp = Backpressure {
-            stop: StopWireConfig::powermanna(),
-            engine,
-            windows: windows.clone(),
-        };
-        let mut sim = flitsim::FlitSim::new();
-        let t = Instant::now();
-        for _ in 0..reps {
-            black_box(sim.run_with_backpressure(cfg, &packets, &bp));
-        }
-        t.elapsed().as_secs_f64() * 1e3
-    };
-    let per_flit_ms = engine_ms(StopWireEngine::PerFlit);
-    let batched_ms = engine_ms(StopWireEngine::Batched);
-
-    // End-to-end route backpressure: a 256-KB worm over an
-    // inter-cluster system256 route (3 crossbars, asynchronous middle
-    // segments) whose destination stalls half of every 1000-tick
-    // window. The per-flit path walks every tick of every segment's
-    // chained stream; the batched path only visits transitions.
-    let mut net = Network::new(Topology::system256());
-    let mut conn = net
-        .open(8, 127, 0, Time::ZERO)
-        .expect("inter-cluster route");
-    let start = conn.ready_at();
-    let bt = pm_net::wire::WireConfig::synchronous().byte_time.as_ps();
-    let t0 = start.as_ps().div_ceil(bt);
-    let dst_windows: Vec<(u64, u64)> = (0..400u64)
-        .map(|i| (t0 + i * 1000, t0 + i * 1000 + 500))
-        .collect();
-    let mut route_ms = |engine| {
-        let bp = RouteBackpressure {
-            engine,
-            ..RouteBackpressure::powermanna(dst_windows.clone())
-        };
-        let t = Instant::now();
-        for _ in 0..reps {
-            black_box(conn.transfer_backpressured(start, 256 * 1024, &bp));
-        }
-        t.elapsed().as_secs_f64() * 1e3
-    };
-    let route_per_flit_ms = route_ms(StopWireEngine::PerFlit);
-    let route_batched_ms = route_ms(StopWireEngine::Batched);
 
     // The 1024-worm hierarchy permutation: every node of system1024
     // injects at once and the adaptive policy keeps all 1024 worms in
@@ -333,20 +271,6 @@ fn time_hot_paths(quick: bool) -> Vec<HotPath> {
     let resilience_reused_ms = t.elapsed().as_secs_f64() * 1e3;
 
     vec![
-        HotPath {
-            name: "flitsim_saturation",
-            baseline: "per_flit",
-            baseline_ms: per_flit_ms,
-            optimized: "batched",
-            optimized_ms: batched_ms,
-        },
-        HotPath {
-            name: "net_backpressure",
-            baseline: "per_flit",
-            baseline_ms: route_per_flit_ms,
-            optimized: "batched",
-            optimized_ms: route_batched_ms,
-        },
         HotPath {
             name: "hierarchy",
             baseline: "fresh",

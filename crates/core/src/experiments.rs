@@ -534,7 +534,6 @@ fn x5_blocking(quick: bool) -> Figure {
         let plain = flitsim::simulate(cfg, &packets).throughput_mbs();
         let bp = flitsim::Backpressure {
             stop: pm_net::StopWireConfig::powermanna(),
-            engine: pm_net::StopWireEngine::Batched,
             windows: stall_windows.clone(),
         };
         let stalled = flitsim::FlitSim::new()

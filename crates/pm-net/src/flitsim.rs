@@ -10,7 +10,7 @@
 //! queue in `pm-sim`.
 
 use crate::crossbar::CrossbarConfig;
-use crate::stopwire::{self, StallWindows, StopWireConfig, StopWireEngine};
+use crate::stopwire::{self, StallWindows, StopWireConfig};
 use pm_sim::event::EventQueue;
 use pm_sim::stats::Histogram;
 use pm_sim::time::{Duration, Time};
@@ -34,15 +34,12 @@ pub struct Packet {
 /// Each output port gets a schedule of stall windows (absolute link
 /// ticks during which its downstream side cannot accept bytes); worms
 /// streaming through a stalled port are throttled by the per-link
-/// *stop* wire modelled in [`crate::stopwire`]. Ports beyond the end of
-/// `windows` are unobstructed.
+/// *stop* wire, computed by [`stopwire::stream_batched`]. Ports beyond
+/// the end of `windows` are unobstructed.
 #[derive(Clone, Debug)]
 pub struct Backpressure {
     /// FIFO geometry and stop/resume thresholds of the links.
     pub stop: StopWireConfig,
-    /// Which stop-wire engine computes each stream (the parity suite
-    /// runs both and asserts identical results).
-    pub engine: StopWireEngine,
     /// Per-output stall windows, sorted disjoint `[start, end)` link
     /// ticks — the same schedule type route-level backpressure uses.
     pub windows: Vec<StallWindows>,
@@ -203,7 +200,7 @@ impl FlitSim {
     /// on the next tick edge), so completion times are not comparable
     /// picosecond-for-picosecond with [`FlitSim::run`]; with an empty
     /// schedule the worms still never stall and the stop counters stay
-    /// zero. Both [`StopWireEngine`]s produce byte-identical results.
+    /// zero.
     ///
     /// # Panics
     ///
@@ -307,8 +304,7 @@ impl FlitSim {
                 let bt = self.byte_time.as_ps();
                 let start_tick = start.as_ps().div_ceil(bt);
                 let windows = bp.windows.get(out).map_or(&[][..], Vec::as_slice);
-                let s = stopwire::stream(
-                    bp.engine,
+                let s = stopwire::stream_batched(
                     bp.stop,
                     start_tick,
                     u64::from(p.payload) + 1,
@@ -607,7 +603,6 @@ mod tests {
     fn empty_backpressure_never_stalls() {
         let bp = Backpressure {
             stop: StopWireConfig::powermanna(),
-            engine: StopWireEngine::Batched,
             windows: Vec::new(),
         };
         let packets = uniform_traffic(cfg(), 8, 256, 11);
@@ -627,7 +622,6 @@ mod tests {
         let stall_until = 100_000u64;
         let bp = Backpressure {
             stop: StopWireConfig::powermanna(),
-            engine: StopWireEngine::Batched,
             windows: vec![vec![(0, stall_until)]],
         };
         let packets = vec![

@@ -13,7 +13,10 @@
 //!   (Figure 5a) and the 256-processor system built from row/column
 //!   permutation networks (Figure 5b).
 //! * [`network`] — connection-level simulation over a topology: open a
-//!   wormhole connection, stream bytes at link rate, close.
+//!   wormhole connection, stream bytes at link rate or under
+//!   [`stopwire`] backpressure, close. It models no faults.
+//! * [`stopwire`] — the per-link stop wire of §3.2: one batched engine
+//!   for single streams and whole routes, and its per-flit reference.
 //! * [`routesim`] — flit-level wormhole simulation of whole routes
 //!   (up to three crossbars) with oblivious or adaptive path choice,
 //!   scaled for 1000+ simultaneous worms on the 1024-node hierarchy,
@@ -21,9 +24,7 @@
 //!   symptom-driven route-around under a fault plan.
 //! * [`fault`] — seeded, deterministic fault plans: transient flit
 //!   corruption, scheduled permanent link deaths and scheduled
-//!   repairs, driving the self-healing loop in [`routesim`] (and the
-//!   oracle plane failover in [`network`] that X12's crossbar series
-//!   uses).
+//!   repairs, driving the self-healing loop in [`routesim`].
 //! * [`backoff`] — the capped exponential retry backoff with
 //!   deterministic jitter that [`routesim`] retransmits under.
 //! * [`health`] — per-source online link-health tables: quarantine
@@ -68,13 +69,13 @@ pub use fifo::TimedFifo;
 pub use flitsim::{FlitSimResult, Packet};
 pub use health::{HealthConfig, HealthTable};
 pub use mesh::{Mesh, MeshConfig, MeshError};
-pub use network::{Connection, FailoverOutcome, Network, RouteBackpressure, RouteError};
+pub use network::{Connection, Network, RouteBackpressure, RouteError};
 pub use outcome::{OutcomeHandles, TransferOutcome};
 pub use routesim::{
     FailoverMode, ResilienceConfig, ResilienceStats, ResilientResult, RoutePolicy, RouteSim,
     RouteSimResult, WatchdogConfig, Worm, WormOutcome,
 };
-pub use stopwire::{RouteFlowStats, StallWindows, StopWireConfig, StopWireEngine, StopWireStats};
+pub use stopwire::{RouteFlowStats, StallWindows, StopWireConfig, StopWireStats};
 pub use topology::{LinkKey, LinkKind, NodeId, Topology, XbarId};
 pub use transceiver::TransceiverConfig;
 pub use wire::{Wire, WireConfig};

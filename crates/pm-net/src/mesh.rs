@@ -344,7 +344,7 @@ impl MeshConnection {
         let bt = self.byte_time.as_ps();
         let start_tick = begin.as_ps().div_ceil(bt);
         let segments = vec![bp.sync_stop; self.path.len()];
-        let flow = stopwire::stream_route(bp.engine, &segments, start_tick, bytes, &bp.dst_windows);
+        let flow = stopwire::stream_route(&segments, start_tick, bytes, &bp.dst_windows);
         let mut outcome = TransferOutcome::streamed(
             Time::from_ps((flow.finish_tick + 1) * bt) + self.head_latency,
             Time::from_ps((flow.source_finish_tick + 1) * bt),

@@ -1554,7 +1554,7 @@ mod tests {
     }
 
     fn assert_candidates_match(t: &Topology, s: &mut RouteSim, src: usize, dst: usize, plane: u32) {
-        let expect = t.equivalent_routes(src, dst, plane, &Default::default());
+        let expect = t.equivalent_routes(src, dst, plane);
         s.enumerate_candidates(src, dst, plane);
         let hops: Vec<&[Hop]> = expect.iter().map(|r| &r.hops[..]).collect();
         assert_eq!(candidates(s), hops, "{src}->{dst} plane {plane}");
@@ -1615,7 +1615,7 @@ mod tests {
         let mut s = RouteSim::new(&t);
         // equivalent_routes lists every (uplink, downlink) pair: middle
         // 2 over its port 1, then over its port 3, then middle 3.
-        let every = t.equivalent_routes(0, 1, 0, &Default::default());
+        let every = t.equivalent_routes(0, 1, 0);
         assert_eq!(every.len(), 3);
         assert_eq!(every[1].hops[1].out_port, 3);
         // RouteSim yields one candidate per uplink, through middle 2's
@@ -1931,9 +1931,8 @@ mod tests {
         let (t, mut s) = sim128();
         // Kill the first candidate's uplink-to-middle cable before any
         // worm starts.
-        let route = &t.equivalent_routes(0, 127, 0, &Default::default())[0];
-        let keys = t.route_link_keys(route);
-        let (xbar, port) = keys[1];
+        let uplink = t.route(0, 127, 0).expect("route").hops[0];
+        let (xbar, port) = (uplink.xbar, uplink.out_port);
         let plan = FaultPlan::clean(7).kill_link(Time::ZERO, LinkRef::XbarPort { xbar, port });
         let worms = vec![
             worm(0, 127, 1024, Time::ZERO + Duration::from_us(1)),
@@ -1960,9 +1959,8 @@ mod tests {
     #[test]
     fn oracle_failover_routes_around_without_probing() {
         let (t, mut s) = sim128();
-        let route = &t.equivalent_routes(0, 127, 0, &Default::default())[0];
-        let keys = t.route_link_keys(route);
-        let (xbar, port) = keys[1];
+        let uplink = t.route(0, 127, 0).expect("route").hops[0];
+        let (xbar, port) = (uplink.xbar, uplink.out_port);
         let plan = FaultPlan::clean(7).kill_link(Time::ZERO, LinkRef::XbarPort { xbar, port });
         let worms = vec![worm(0, 127, 1024, Time::ZERO + Duration::from_us(1))];
         let cfg = ResilienceConfig {

@@ -22,18 +22,17 @@
 //!    [`StopWireConfig::stop_threshold`], deassert at <=
 //!    [`StopWireConfig::resume_threshold`] (hysteresis), hold otherwise.
 //!
-//! Two engines compute this, and `tests/parity.rs` pins them to each
-//! other byte-for-byte:
-//!
-//! * [`stream_per_flit`] — the reference: literally executes every tick,
-//!   which is the paper's per-byte semantics and also the cost the
-//!   original arbiter paid (per-flit stop-wire bookkeeping).
-//! * [`stream_batched`] — the production path: between state changes the
-//!   fill and drain rates are constant, so the occupancy trajectory is
-//!   piecewise linear and every threshold crossing, gate flip, stall
-//!   boundary and exhaustion point can be computed in closed form. Cost
-//!   is proportional to the number of stop/resume *transitions*, not to
-//!   the number of bytes.
+//! One engine computes this, [`stream_batched`]: between state changes
+//! the fill and drain rates are constant, so the occupancy trajectory is
+//! piecewise linear and every threshold crossing, gate flip, stall
+//! boundary and exhaustion point can be computed in closed form. Cost
+//! is proportional to the number of stop/resume *transitions*, not to
+//! the number of bytes. [`stream_per_flit`] is its reference: it
+//! literally executes every tick, which is the paper's per-byte
+//! semantics, and `tests/parity.rs` pins the two to each other
+//! byte-for-byte. Whole routes chain batched streams in
+//! [`stream_route`], whose reference is the joint tick-by-tick
+//! simulation of every FIFO in `tests/properties.rs`.
 
 use pm_sim::rng::SimRng;
 
@@ -112,55 +111,21 @@ pub struct StopWireStats {
     pub max_occupancy: u32,
 }
 
-/// Which engine computes a stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StopWireEngine {
-    /// Tick-by-tick reference implementation.
-    PerFlit,
-    /// Closed-form batched implementation.
-    Batched,
-}
-
-/// Runs one stream of `bytes` bytes starting at absolute link tick
-/// `start_tick` through the selected engine. `stalls` are sorted,
-/// disjoint, half-open `[start, end)` tick windows during which the
-/// downstream side cannot accept bytes.
-pub fn stream(
-    engine: StopWireEngine,
-    config: StopWireConfig,
-    start_tick: u64,
-    bytes: u64,
-    stalls: &[(u64, u64)],
-) -> StopWireStats {
-    match engine {
-        StopWireEngine::PerFlit => stream_per_flit(config, start_tick, bytes, stalls),
-        StopWireEngine::Batched => stream_batched(config, start_tick, bytes, stalls),
-    }
-}
-
-/// Like [`stream`], but also returns the *gate windows*: the tick
-/// intervals during which the sender still had bytes to offer but sat
-/// gated by *stop*. The total width of the windows equals
+/// Like [`stream_batched`], but also returns the *gate windows*: the
+/// tick intervals during which the sender still had bytes to offer but
+/// sat gated by *stop*. The total width of the windows equals
 /// [`StopWireStats::stalled_ticks`]. When this stream models one route
 /// segment, its gate windows are exactly the ticks its sender refuses
 /// to pop the upstream FIFO — i.e. the stall schedule the *upstream*
 /// segment's drain experiences. [`stream_route`] chains them hop by hop.
-pub fn stream_gates(
-    engine: StopWireEngine,
+fn stream_gates(
     config: StopWireConfig,
     start_tick: u64,
     bytes: u64,
     stalls: &[(u64, u64)],
 ) -> (StopWireStats, StallWindows) {
     let mut gates = StallWindows::new();
-    let stats = match engine {
-        StopWireEngine::PerFlit => {
-            per_flit_impl(config, start_tick, bytes, stalls, Some(&mut gates))
-        }
-        StopWireEngine::Batched => {
-            batched_impl(config, start_tick, bytes, stalls, Some(&mut gates))
-        }
-    };
+    let stats = batched_impl(config, start_tick, bytes, stalls, Some(&mut gates));
     (stats, gates)
 }
 
@@ -196,16 +161,6 @@ pub fn stream_per_flit(
     bytes: u64,
     stalls: &[(u64, u64)],
 ) -> StopWireStats {
-    per_flit_impl(config, start_tick, bytes, stalls, None)
-}
-
-fn per_flit_impl(
-    config: StopWireConfig,
-    start_tick: u64,
-    bytes: u64,
-    stalls: &[(u64, u64)],
-    mut gates: Option<&mut StallWindows>,
-) -> StopWireStats {
     config.validate();
     assert_windows_sorted(stalls);
     let mut stats = StopWireStats {
@@ -234,9 +189,6 @@ fn per_flit_impl(
         if sent < bytes {
             if gate {
                 stats.stalled_ticks += 1;
-                if let Some(g) = gates.as_deref_mut() {
-                    push_gate_window(g, k, 1);
-                }
             } else {
                 occ += 1;
                 sent += 1;
@@ -432,11 +384,11 @@ pub struct RouteFlowStats {
 /// same tick, so an unobstructed route delivers one byte per tick
 /// regardless of length — propagation is charged separately, once, by
 /// the connection model). The composition runs the *last* segment
-/// against `dst_stalls`, extracts its gate windows (the ticks its
-/// sender refuses to pop the upstream FIFO), and feeds them upstream as
-/// the previous segment's stall schedule, and so on back to the source.
-/// `tests/properties.rs` pins this against a joint tick-by-tick
-/// simulation of all FIFOs.
+/// against `dst_stalls` with [`stream_batched`], extracts its gate
+/// windows (the ticks its sender refuses to pop the upstream FIFO), and
+/// feeds them upstream as the previous segment's stall schedule, and so
+/// on back to the source. `tests/properties.rs` pins this against a
+/// joint tick-by-tick simulation of all FIFOs.
 ///
 /// # Panics
 ///
@@ -448,7 +400,6 @@ pub struct RouteFlowStats {
 /// stop_lag - 1` plus the same-tick cut-through byte), which is what
 /// makes the segment-by-segment composition exact.
 pub fn stream_route(
-    engine: StopWireEngine,
     segments: &[StopWireConfig],
     start_tick: u64,
     bytes: u64,
@@ -469,7 +420,7 @@ pub fn stream_route(
     let mut per_segment = vec![StopWireStats::default(); segments.len()];
     let mut stalls: StallWindows = dst_stalls.to_vec();
     for (i, &config) in segments.iter().enumerate().rev() {
-        let (stats, gates) = stream_gates(engine, config, start_tick, bytes, &stalls);
+        let (stats, gates) = stream_gates(config, start_tick, bytes, &stalls);
         per_segment[i] = stats;
         stalls = gates;
     }
@@ -516,10 +467,14 @@ mod tests {
         StopWireConfig::powermanna()
     }
 
+    /// Both engines, for the tests that hold each to the same property.
+    type Engine = fn(StopWireConfig, u64, u64, &[(u64, u64)]) -> StopWireStats;
+    const ENGINES: [Engine; 2] = [stream_per_flit, stream_batched];
+
     #[test]
     fn unobstructed_stream_runs_at_link_rate() {
-        for engine in [StopWireEngine::PerFlit, StopWireEngine::Batched] {
-            let s = stream(engine, cfg(), 10, 500, &[]);
+        for engine in ENGINES {
+            let s = engine(cfg(), 10, 500, &[]);
             assert_eq!(s.delivered, 500);
             // One byte per tick, cut-through: last byte on tick 10+499.
             assert_eq!(s.finish_tick, 509);
@@ -534,10 +489,10 @@ mod tests {
     #[test]
     fn long_stall_asserts_stop_and_bounds_occupancy() {
         let c = cfg();
-        for engine in [StopWireEngine::PerFlit, StopWireEngine::Batched] {
+        for engine in ENGINES {
             // Downstream blocked long enough to fill the FIFO well past
             // the stop threshold if flow control did not intervene.
-            let s = stream(engine, c, 0, 2000, &[(0, 1000)]);
+            let s = engine(c, 0, 2000, &[(0, 1000)]);
             assert_eq!(s.delivered, 2000, "lossless");
             assert!(s.stop_transitions >= 1);
             assert!(s.stalled_ticks > 0);
@@ -568,8 +523,8 @@ mod tests {
 
     #[test]
     fn stall_before_stream_start_is_inert() {
-        for engine in [StopWireEngine::PerFlit, StopWireEngine::Batched] {
-            let s = stream(engine, cfg(), 1000, 100, &[(0, 900)]);
+        for engine in ENGINES {
+            let s = engine(cfg(), 1000, 100, &[(0, 900)]);
             assert_eq!(s.finish_tick, 1099);
             assert_eq!(s.stop_transitions, 0);
         }
@@ -593,41 +548,34 @@ mod tests {
     }
 
     #[test]
-    fn gate_windows_match_stalled_ticks_and_engines_agree() {
+    fn gate_windows_match_stalled_ticks() {
         let c = cfg();
         let stalls = vec![(10, 400), (500, 900), (1200, 1500)];
-        let (per_flit, g1) = stream_gates(StopWireEngine::PerFlit, c, 3, 4096, &stalls);
-        let (batched, g2) = stream_gates(StopWireEngine::Batched, c, 3, 4096, &stalls);
-        assert_eq!(per_flit, batched);
-        assert_eq!(g1, g2, "gate windows diverge between engines");
-        assert_windows_sorted(&g1);
-        let width: u64 = g1.iter().map(|&(s, e)| e - s).sum();
-        assert_eq!(width, per_flit.stalled_ticks);
-        assert!(
-            per_flit.stalled_ticks > 0,
-            "schedule should gate the sender"
-        );
+        let (batched, gates) = stream_gates(c, 3, 4096, &stalls);
+        assert_eq!(batched, stream_per_flit(c, 3, 4096, &stalls));
+        assert_windows_sorted(&gates);
+        let width: u64 = gates.iter().map(|&(s, e)| e - s).sum();
+        assert_eq!(width, batched.stalled_ticks);
+        assert!(batched.stalled_ticks > 0, "schedule should gate the sender");
     }
 
     #[test]
     fn single_segment_route_equals_plain_stream() {
         let c = cfg();
         let stalls = vec![(0, 700)];
-        for engine in [StopWireEngine::PerFlit, StopWireEngine::Batched] {
-            let flow = stream_route(engine, &[c], 5, 2000, &stalls);
-            let plain = stream(engine, c, 5, 2000, &stalls);
-            assert_eq!(flow.per_segment, vec![plain]);
-            assert_eq!(flow.finish_tick, plain.finish_tick);
-            assert_eq!(flow.source_finish_tick, plain.finish_tick);
-            assert_eq!(flow.stalled_ticks, plain.stalled_ticks);
-        }
+        let flow = stream_route(&[c], 5, 2000, &stalls);
+        let plain = stream_per_flit(c, 5, 2000, &stalls);
+        assert_eq!(flow.per_segment, vec![plain]);
+        assert_eq!(flow.finish_tick, plain.finish_tick);
+        assert_eq!(flow.source_finish_tick, plain.finish_tick);
+        assert_eq!(flow.stalled_ticks, plain.stalled_ticks);
     }
 
     #[test]
     fn unobstructed_route_delivers_at_link_rate_regardless_of_length() {
         let c = cfg();
         for n in 1..=4 {
-            let flow = stream_route(StopWireEngine::Batched, &vec![c; n], 10, 500, &[]);
+            let flow = stream_route(&vec![c; n], 10, 500, &[]);
             assert_eq!(flow.delivered, 500);
             assert_eq!(flow.finish_tick, 509, "cut-through: length-free");
             assert_eq!(flow.stalled_ticks, 0);
@@ -640,7 +588,7 @@ mod tests {
         let c = cfg();
         // Destination blocked long enough that every FIFO on a 3-segment
         // route fills and the stop chain reaches the source.
-        let flow = stream_route(StopWireEngine::Batched, &[c; 3], 0, 8192, &[(0, 4000)]);
+        let flow = stream_route(&[c; 3], 0, 8192, &[(0, 4000)]);
         assert_eq!(flow.delivered, 8192, "lossless end to end");
         assert!(flow.stalled_ticks > 0, "source must feel the block");
         assert!(flow.stop_transitions >= 3, "every hop should assert stop");
@@ -653,15 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn route_engines_agree() {
-        let c = cfg();
-        let stalls = vec![(50, 600), (900, 1400)];
-        let a = stream_route(StopWireEngine::PerFlit, &[c; 3], 7, 5000, &stalls);
-        let b = stream_route(StopWireEngine::Batched, &[c; 3], 7, 5000, &stalls);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "resume_threshold")]
     fn multi_hop_route_rejects_underrun_prone_config() {
         let c = StopWireConfig {
@@ -671,6 +610,6 @@ mod tests {
             stop_lag: 8,
         };
         c.validate(); // fine on its own...
-        stream_route(StopWireEngine::Batched, &[c; 2], 0, 100, &[]); // ...not in a chain
+        stream_route(&[c; 2], 0, 100, &[]); // ...not in a chain
     }
 }
