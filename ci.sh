@@ -55,25 +55,35 @@ echo "== quick CSV goldens =="
 # self-healing layer under both failover modes (X14), the NI FIFOs and
 # communication stack (Fig 9-12, X3, X7, X10, X11), and HINT, node
 # scaling and the network design studies (Table 1, Fig 6, X1, X2, X4).
-# Every id `figures --list` prints sits in exactly one golden. Regenerate
-# an intentional change with:
+# Every id `figures --list` prints sits in exactly one golden, checked
+# below before any golden runs. Regenerate an intentional change with:
 #   cargo run --release -p pm-bench --bin figures -- --quick --csv \
 #     <ids> > tests/goldens/<golden>.csv
-while read -r golden ids; do
-  echo "-- $golden: $ids"
-  # $ids is unquoted on purpose: one argument per experiment id.
-  cargo run --release -p pm-bench --bin figures -- --quick --csv $ids \
-    < /dev/null > "target/$golden.csv"
-  diff -u "tests/goldens/$golden.csv" "target/$golden.csv"
-done <<'GOLDENS'
-matmult_quick fig7a fig7b fig8a fig8b tiling
+QUICK_GOLDENS='matmult_quick fig7a fig7b fig8a fig8b tiling
 x5_x6_quick blocking mesh_vs_xbar
 x8_quick faults
 x12_quick traffic
 x13_quick hierarchy
 x14_quick resilience
 comm_quick fig9 fig10 fig11 fig12 fifo_ablation collectives earth app_stencil
-node_quick table1 fig6a fig6b scale4 routing duallink
+node_quick table1 fig6a fig6b scale4 routing duallink'
+cargo run --release -p pm-bench --bin figures -- --list | cut -d' ' -f1 | sort \
+  > target/ids_listed.txt
+printf '%s\n' "$QUICK_GOLDENS" | cut -d' ' -f2- | tr ' ' '\n' | sort \
+  > target/ids_tabled.txt
+if uniq -d target/ids_tabled.txt | grep .; then
+  echo "the experiment ids above sit in more than one quick golden" >&2
+  exit 1
+fi
+diff -u target/ids_listed.txt target/ids_tabled.txt
+while read -r golden ids; do
+  echo "-- $golden: $ids"
+  # $ids is unquoted on purpose: one argument per experiment id.
+  cargo run --release -p pm-bench --bin figures -- --quick --csv $ids \
+    < /dev/null > "target/$golden.csv"
+  diff -u "tests/goldens/$golden.csv" "target/$golden.csv"
+done <<GOLDENS
+$QUICK_GOLDENS
 GOLDENS
 
 echo "== full-size CSV goldens =="
