@@ -16,7 +16,7 @@ use pm_mem::{Access, HierarchyConfig, MemorySystem};
 use pm_net::crossbar::{Crossbar, CrossbarConfig};
 use pm_net::fifo::TimedFifo;
 use pm_net::flitsim;
-use pm_net::mesh::{Mesh, MeshConfig};
+use pm_net::network::Network;
 use pm_net::stopwire::{self, StopWireConfig};
 use pm_node::crc::crc16;
 use pm_node::ni::{NiConfig, NiDirection};
@@ -146,16 +146,16 @@ fn bench_stopwire(r: &mut Runner) {
 
 fn bench_mesh(r: &mut Runner) {
     r.bench("mesh/16_random_connections", || {
-        let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
+        let mut mesh = Network::mesh(4, 4);
         let mut rng = pm_sim::rng::SimRng::seed_from(3);
         let mut finish = Time::ZERO;
         for _ in 0..16 {
-            let a = rng.gen_range(0, 16) as u32;
-            let b2 = rng.gen_range(0, 16) as u32;
+            let a = rng.gen_range(0, 16) as usize;
+            let b2 = rng.gen_range(0, 16) as usize;
             if a == b2 {
                 continue;
             }
-            let mut conn = mesh.open(a, b2, Time::ZERO).expect("closed in order");
+            let mut conn = mesh.open(a, b2, 0, Time::ZERO).expect("closed in order");
             let done = conn.transfer(conn.ready_at(), 1024).finished;
             conn.close(&mut mesh, done);
             finish = finish.max(done);

@@ -20,7 +20,6 @@
 use crate::systems;
 use pm_isa::TraceBuilder;
 use pm_net::fault::{FaultPlan, LinkRef};
-use pm_net::mesh::{Mesh, MeshConfig};
 use pm_net::network::{Network, RouteBackpressure};
 use pm_net::routesim::{ResilienceConfig, RouteSim, Worm, WormOutcome};
 use pm_net::topology::Topology;
@@ -159,10 +158,10 @@ fn network_section(reg: &mut MetricRegistry, quick: bool) {
 }
 
 /// `mesh/...`: one connection across the 4x4 design-study mesh; its
-/// outcome lands under the same prefix as the mesh's own counters.
+/// outcome lands under the same prefix as the routers' own counters.
 fn mesh_section(reg: &mut MetricRegistry) {
-    let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
-    let mut c = mesh.open(0, 3, Time::ZERO).expect("idle mesh");
+    let mut mesh = Network::mesh(4, 4);
+    let mut c = mesh.open(0, 3, 0, Time::ZERO).expect("idle mesh");
     let o = c.transfer(c.ready_at(), 4096);
     o.publish(reg, "mesh");
     c.close(&mut mesh, o.finished);
@@ -225,7 +224,7 @@ mod tests {
             "net/transfers",
             "net/stalled_bytes",
             "net/xbar0/routes",
-            "mesh/opens",
+            "mesh/xbar0/routes",
             "comm/faults/offered",
             "comm/transfers",
         ] {

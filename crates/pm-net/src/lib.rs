@@ -12,9 +12,10 @@
 //!   configurations: the eight-node cluster with two crossbars
 //!   (Figure 5a) and the 256-processor system built from row/column
 //!   permutation networks (Figure 5b).
-//! * [`network`] — connection-level simulation over a topology: open a
-//!   wormhole connection, stream bytes at link rate or under
-//!   [`stopwire`] backpressure, close. It models no faults.
+//! * [`network`] — connection-level simulation over a topology or a
+//!   2-D mesh of five-port routers (XY routing): open a wormhole
+//!   connection, stream bytes at link rate or under [`stopwire`]
+//!   backpressure, close. It models no faults.
 //! * [`stopwire`] — the per-link stop wire of §3.2: one batched engine
 //!   for single streams and whole routes, and its per-flit reference.
 //! * [`routesim`] — flit-level wormhole simulation of whole routes
@@ -47,12 +48,10 @@
 
 pub mod backoff;
 pub mod crossbar;
-pub mod error;
 pub mod fault;
 pub mod fifo;
 pub mod flitsim;
 pub mod health;
-pub mod mesh;
 pub mod network;
 pub mod outcome;
 pub mod routesim;
@@ -63,12 +62,10 @@ pub mod wire;
 
 pub use backoff::RetryPolicy;
 pub use crossbar::{Crossbar, CrossbarConfig};
-pub use error::NetError;
 pub use fault::{FaultPlan, FaultPlanError, LinkDown, LinkRef, LinkRepair, TransientInjector};
 pub use fifo::TimedFifo;
 pub use flitsim::{FlitSimResult, Packet};
 pub use health::{HealthConfig, HealthTable};
-pub use mesh::{Mesh, MeshConfig, MeshError};
 pub use network::{Connection, Network, RouteBackpressure, RouteError};
 pub use outcome::{OutcomeHandles, TransferOutcome};
 pub use routesim::{

@@ -7,9 +7,8 @@
 //! hand. [`TransferOutcome`] is the union: finish times, byte counts,
 //! per-segment stop-wire stalls, and the fault/retry story of the
 //! self-healing loop, in one comparable value returned by
-//! [`crate::network::Connection::transfer`]/[`transfer_backpressured`](crate::network::Connection::transfer_backpressured),
-//! [`crate::mesh::MeshConnection::transfer`]/[`transfer_backpressured`](crate::mesh::MeshConnection::transfer_backpressured)
-//! and carried by every delivered
+//! [`crate::network::Connection::transfer`]/[`transfer_backpressured`](crate::network::Connection::transfer_backpressured)
+//! on crossbar routes and mesh routes alike, and carried by every delivered
 //! [`crate::routesim::WormOutcome`] of
 //! [`crate::routesim::RouteSim::run_resilient`].
 //!

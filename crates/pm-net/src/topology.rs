@@ -89,8 +89,11 @@ pub struct Route {
     pub plane: u32,
     /// Crossbars traversed, in order.
     pub hops: Vec<Hop>,
-    /// Link kinds of the segments (`hops.len() + 1` entries: node→xbar,
-    /// xbar→xbar…, xbar→node).
+    /// Link kinds of the segments. A crossbar route has `hops.len() + 1`
+    /// (node→xbar, xbar→xbar…, xbar→node); a route of
+    /// [`Network::mesh`](crate::network::Network::mesh) has one per
+    /// inter-router link, `hops.len()`, since each node sits inside its
+    /// router.
     pub segments: Vec<LinkKind>,
 }
 

@@ -9,7 +9,6 @@
 //! [`TransferOutcome`]: powermanna::net::outcome::TransferOutcome
 
 use powermanna::net::fault::{FaultPlan, LinkRef};
-use powermanna::net::mesh::{Mesh, MeshConfig};
 use powermanna::net::network::{Network, RouteBackpressure};
 use powermanna::net::stopwire::random_windows;
 use powermanna::net::topology::Topology;
@@ -66,21 +65,21 @@ fn network_stall_bytes_reconcile_with_outcomes() {
     }
 }
 
-/// The same reconciliation holds on the §6 mesh: the byte and stall
-/// sums of the published outcomes match, and every handed-out
-/// connection is one `mesh/opens`.
+/// The same reconciliation holds on the §3 mesh: the byte and stall
+/// sums of the published outcomes match, and every hop of every
+/// handed-out connection is one router route.
 #[test]
 fn mesh_outcomes_reconcile_with_registry() {
     let mut rng = cases(2);
     for _ in 0..6 {
-        let mut mesh = Mesh::new(MeshConfig::powermanna_parts(4, 4));
+        let mut mesh = Network::mesh(4, 4);
         let mut reg = MetricRegistry::new();
-        let (mut bytes, mut stalled, mut transfers) = (0u64, 0u64, 0u64);
+        let (mut bytes, mut stalled, mut transfers, mut hops) = (0u64, 0u64, 0u64, 0u64);
         let mut t = Time::ZERO;
         for _ in 0..rng.gen_range(3, 8) {
-            let src = rng.gen_range(0, 8) as u32;
-            let dst = rng.gen_range(8, 16) as u32;
-            let mut conn = mesh.open(src, dst, t).expect("every close is recorded");
+            let src = rng.gen_range(0, 8) as usize;
+            let dst = rng.gen_range(8, 16) as usize;
+            let mut conn = mesh.open(src, dst, 0, t).expect("every close is recorded");
             let payload = 256 + rng.gen_range(0, 4096);
             let o = conn.transfer(conn.ready_at(), payload);
             conn.close(&mut mesh, o.finished);
@@ -88,13 +87,17 @@ fn mesh_outcomes_reconcile_with_registry() {
             bytes += o.bytes;
             stalled += o.stalled_bytes();
             transfers += 1;
+            hops += conn.route().crossbars() as u64;
             o.publish(&mut reg, "mesh");
         }
         mesh.publish_metrics(&mut reg, "mesh");
         assert_eq!(reg.counter_value("mesh/bytes"), Some(bytes));
         assert_eq!(reg.counter_value("mesh/stalled_bytes"), Some(stalled));
         assert_eq!(reg.counter_value("mesh/transfers"), Some(transfers));
-        assert_eq!(reg.counter_value("mesh/opens"), Some(transfers));
+        let routes: u64 = (0..16)
+            .map(|x| reg.counter_value(&format!("mesh/xbar{x}/routes")).unwrap())
+            .sum();
+        assert_eq!(routes, hops);
     }
 }
 
