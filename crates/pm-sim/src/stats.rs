@@ -181,7 +181,17 @@ impl Series {
     }
 
     /// Appends a point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the series already has a point at `x`: a figure renders
+    /// one row per x, so a second point there would never be written.
     pub fn push(&mut self, x: f64, y: f64) {
+        assert!(
+            self.points.iter().all(|&(px, _)| px != x),
+            "series {:?} already has a point at x = {x}",
+            self.name
+        );
         self.points.push((x, y));
     }
 
@@ -511,6 +521,15 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "series \"setup\" already has a point at x = 1")]
+    fn second_point_at_an_existing_x_panics() {
+        let mut s = Series::new("setup");
+        s.push(1.0, 0.2);
+        s.push(3.0, 0.6);
+        s.push(1.0, 0.2);
+    }
 
     #[test]
     fn counter_accumulates() {
