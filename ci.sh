@@ -92,7 +92,9 @@ echo "== full-size CSV goldens =="
 # fig6_full holds Fig 6a/6b to 24 MB (node_quick.csv stops at 128 KiB,
 # before the HINT working set spills the 2 MB L2), about 12 s on 2
 # workers; net_full holds the network experiments (X2, X4, X5, X6, X12
-# and X13, including the X12 knees and the 8x8 mesh series), about 3 s.
+# and X13, including the X12 knees and the 8x8 mesh series), about 3 s;
+# comm_full holds the communication and node studies (Fig 9-12, X3, X7,
+# X10, X11, X1 and Table 1) to 64 KB messages and 128 ranks, under 1 s.
 # Regenerate an intentional change with:
 #   cargo run --release -p pm-bench --bin figures -- --csv \
 #     <ids> > tests/goldens/<golden>.csv
@@ -105,6 +107,7 @@ while read -r golden ids; do
 done <<'GOLDENS'
 fig6_full fig6a fig6b
 net_full routing duallink blocking mesh_vs_xbar traffic hierarchy
+comm_full fig9 fig10 fig11 fig12 fifo_ablation collectives earth app_stencil scale4 table1
 GOLDENS
 
 echo "== observability golden (quick metrics registry) =="
