@@ -15,9 +15,10 @@ use pm_isa::parse_kernel;
 use pm_mem::{Access, HierarchyConfig, MemorySystem};
 use pm_net::crossbar::{Crossbar, CrossbarConfig};
 use pm_net::fifo::TimedFifo;
-use pm_net::flitsim;
 use pm_net::network::Network;
+use pm_net::routesim::{self, RoutePolicy, RouteSim};
 use pm_net::stopwire::{self, StopWireConfig};
+use pm_net::topology::{LinkKind, Topology};
 use pm_node::crc::crc16;
 use pm_node::ni::{NiConfig, NiDirection};
 use pm_sim::time::{Duration, Time};
@@ -106,16 +107,21 @@ fn bench_crc(r: &mut Runner) {
     r.bench("crc16/64k", || crc16(&data));
 }
 
-fn bench_flitsim(r: &mut Runner) {
-    let cfg = CrossbarConfig::powermanna();
-    let packets = flitsim::uniform_traffic(cfg, 32, 256, 5);
-    r.bench("flitsim/uniform_512pkts_fresh", || {
-        flitsim::simulate(cfg, &packets)
+fn bench_crossbar_worms(r: &mut Runner) {
+    // X5's fabric: 16 nodes on one crossbar.
+    let mut topo = Topology::with_nodes(16);
+    let xb = topo.add_crossbar(CrossbarConfig::powermanna());
+    for n in 0..16 {
+        topo.connect_node(n, 0, xb, n as u32, LinkKind::Synchronous);
+    }
+    let worms = routesim::uniform_random_worms(16, 32, 256, 5);
+    r.bench("routesim/crossbar16_uniform_512worms_fresh", || {
+        RouteSim::new(&topo).run(&worms, RoutePolicy::Oblivious)
     });
     // The sweep-reuse hot path: one simulator across all runs.
-    let mut sim = flitsim::FlitSim::new();
-    r.bench("flitsim/uniform_512pkts_reused", move || {
-        sim.run(cfg, &packets)
+    let mut sim = RouteSim::new(&topo);
+    r.bench("routesim/crossbar16_uniform_512worms_reused", move || {
+        sim.run(&worms, RoutePolicy::Oblivious)
     });
 }
 
@@ -227,7 +233,7 @@ fn main() {
     bench_fifo(&mut r);
     bench_ni(&mut r);
     bench_crc(&mut r);
-    bench_flitsim(&mut r);
+    bench_crossbar_worms(&mut r);
     bench_stopwire(&mut r);
     bench_mesh(&mut r);
     bench_mpi(&mut r);

@@ -20,8 +20,10 @@
 //!   for single streams and whole routes, and its per-flit reference.
 //! * [`routesim`] — flit-level wormhole simulation of whole routes
 //!   (up to three crossbars) with oblivious or adaptive path choice,
-//!   scaled for 1000+ simultaneous worms on the 1024-node hierarchy,
-//!   and the one self-healing loop: retransmission, plane failover and
+//!   scaled for 1000+ simultaneous worms on the 1024-node hierarchy;
+//!   on one crossbar, optionally with stop-wire backpressure on the
+//!   destination links (the X5 blocking study); and the one
+//!   self-healing loop: retransmission, plane failover and
 //!   symptom-driven route-around under a fault plan.
 //! * [`fault`] — seeded, deterministic fault plans: transient flit
 //!   corruption, scheduled permanent link deaths and scheduled
@@ -50,7 +52,6 @@ pub mod backoff;
 pub mod crossbar;
 pub mod fault;
 pub mod fifo;
-pub mod flitsim;
 pub mod health;
 pub mod network;
 pub mod outcome;
@@ -64,7 +65,6 @@ pub use backoff::RetryPolicy;
 pub use crossbar::{Crossbar, CrossbarConfig};
 pub use fault::{FaultPlan, FaultPlanError, LinkDown, LinkRef, LinkRepair, TransientInjector};
 pub use fifo::TimedFifo;
-pub use flitsim::{FlitSimResult, Packet};
 pub use health::{HealthConfig, HealthTable};
 pub use network::{Connection, Network, RouteBackpressure, RouteError};
 pub use outcome::{OutcomeHandles, TransferOutcome};

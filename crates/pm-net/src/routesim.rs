@@ -1,20 +1,24 @@
 //! Flit-level wormhole simulation of whole routes across a topology.
 //!
-//! [`crate::flitsim`] models contention inside *one* crossbar; the
-//! hierarchical permutation network routes every worm through up to
-//! three ([`crate::topology::MAX_ROUTE_CROSSBARS`]). This module
-//! simulates the full route: a worm's route byte serialises over each
-//! link, decodes at each crossbar, and claims each output port in turn.
+//! A route crosses one crossbar (X5's 16-node fabric, a cluster) or, on
+//! the hierarchical permutation network, up to three
+//! ([`crate::topology::MAX_ROUTE_CROSSBARS`]). This module simulates
+//! the full route: a worm's route byte serialises over each link,
+//! decodes at each crossbar, and claims each output port in turn.
 //! A worm blocked at hop *k* keeps holding the ports of hops `0..k` —
 //! the real wormhole dependency chains §3's blocking argument is about
 //! — and queues FIFO on the contended output until its holder's close
 //! byte releases it.
 //!
-//! One event loop serves both entry points. [`RouteSim::run_resilient`]
+//! One event loop serves every entry point. [`RouteSim::run_resilient`]
 //! drives it under a [`FaultPlan`] with retransmission, health tables
 //! and the progress watchdog; [`RouteSim::run`] drives the same loop
 //! over an empty plan with the watchdog off, where no link is dead, no
-//! health table is written and no worm is ever retried.
+//! health table is written and no worm is ever retried; and
+//! [`RouteSim::run_with_backpressure`] is that clean run on a
+//! single-crossbar topology whose destination links carry stop wires
+//! ([`Backpressure`]), each worm's stream paced by
+//! [`stopwire::stream_batched`].
 //!
 //! Built to scale: a 1024-node system keeps 1000+ worms in flight at
 //! once, so the per-event path allocates nothing. Routes live in one
@@ -51,6 +55,7 @@ use crate::crossbar::Crossbar;
 use crate::fault::{FaultPlan, FaultPlanError, LinkRef, TransientInjector};
 use crate::health::{HealthConfig, HealthTable};
 use crate::outcome::TransferOutcome;
+use crate::stopwire::{self, StallWindows, StopWireConfig};
 use crate::topology::{Endpoint, Hop, LinkKey, NodeId, Topology};
 use pm_sim::event::EventQueue;
 use pm_sim::metrics::MetricRegistry;
@@ -127,6 +132,24 @@ impl RouteSimResult {
             .map(|(w, _)| u64::from(w.payload))
             .sum()
     }
+}
+
+/// Downstream backpressure on the destination links of a
+/// single-crossbar topology, for [`RouteSim::run_with_backpressure`].
+///
+/// Each destination node gets a schedule of stall windows (absolute
+/// link ticks during which it cannot accept bytes); worms streaming
+/// into a stalled node are throttled by the per-link *stop* wire,
+/// computed by [`stopwire::stream_batched`]. Nodes beyond the end of
+/// `windows` are unobstructed.
+#[derive(Clone, Debug)]
+pub struct Backpressure {
+    /// FIFO geometry and stop/resume thresholds of the links.
+    pub stop: StopWireConfig,
+    /// Per-destination-node stall windows, sorted disjoint `[start,
+    /// end)` link ticks — the same schedule type route-level
+    /// backpressure uses.
+    pub windows: Vec<StallWindows>,
 }
 
 /// Whose knowledge drives route-around decisions in
@@ -560,6 +583,8 @@ pub struct RouteSim {
     fault_sched: Vec<(Time, FaultChange, LinkKey)>,
     /// Transient-corruption stream for the current run.
     injector: TransientInjector,
+    /// The current run's destination stop wires, if it has any.
+    backpressure: Option<Backpressure>,
     /// Worms not yet terminal.
     live: usize,
     stats: ResilienceStats,
@@ -637,6 +662,7 @@ impl RouteSim {
             orphans: Vec::new(),
             fault_sched: Vec::new(),
             injector: TransientInjector::new(&FaultPlan::clean(0)),
+            backpressure: None,
             live: 0,
             stats: ResilienceStats::default(),
         }
@@ -741,12 +767,47 @@ impl RouteSim {
     /// acquisition order admits a hold-and-wait cycle (wormhole
     /// deadlock — impossible on the hierarchical configurations).
     pub fn run(&mut self, worms: &[Worm], policy: RoutePolicy) -> RouteSimResult {
+        self.run_clean(worms, policy, None)
+    }
+
+    /// Simulates one worm batch on a single-crossbar topology whose
+    /// destination links carry stop wires: each worm's stream starts on
+    /// the next link tick after its route is established and finishes
+    /// at the pace [`stopwire::stream_batched`] computes over its
+    /// destination's stall windows. A destination without windows
+    /// never stalls, but its worms still start tick-aligned, so
+    /// completion times are not comparable picosecond for picosecond
+    /// with [`RouteSim::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the topology has exactly one crossbar (a longer
+    /// route would need its stop wires chained segment by segment, which
+    /// this does not model), if a stall schedule is unsorted, if
+    /// `bp.stop` is not lossless, and wherever [`RouteSim::run`] panics.
+    pub fn run_with_backpressure(&mut self, worms: &[Worm], bp: &Backpressure) -> RouteSimResult {
+        assert_eq!(
+            self.crossbars.len(),
+            1,
+            "backpressured runs model a single crossbar exactly"
+        );
+        self.run_clean(worms, RoutePolicy::Oblivious, Some(bp))
+    }
+
+    /// The fault-free run [`RouteSim::run`] and
+    /// [`RouteSim::run_with_backpressure`] share.
+    fn run_clean(
+        &mut self,
+        worms: &[Worm],
+        policy: RoutePolicy,
+        bp: Option<&Backpressure>,
+    ) -> RouteSimResult {
         let cfg = ResilienceConfig {
             policy,
             failover: CLEAN_FAILOVER,
             ..ResilienceConfig::default()
         };
-        self.simulate(worms, &FaultPlan::clean(0), &cfg, false)
+        self.simulate(worms, &FaultPlan::clean(0), &cfg, false, bp)
             .expect("an empty plan names no link");
         assert_eq!(
             self.stats.delivered,
@@ -782,7 +843,7 @@ impl RouteSim {
         plan: &FaultPlan,
         cfg: &ResilienceConfig,
     ) -> Result<ResilientResult, FaultPlanError> {
-        self.simulate(worms, plan, cfg, true)?;
+        self.simulate(worms, plan, cfg, true, None)?;
         assert_eq!(self.live, 0, "resilient run left worms unresolved");
         let outcomes = worms
             .iter()
@@ -819,7 +880,7 @@ impl RouteSim {
         })
     }
 
-    /// The event loop both entry points drive: merges the time-sorted
+    /// The event loop every entry point drives: merges the time-sorted
     /// arrivals against the event heap until both are exhausted.
     fn simulate(
         &mut self,
@@ -827,8 +888,9 @@ impl RouteSim {
         plan: &FaultPlan,
         cfg: &ResilienceConfig,
         watchdog: bool,
+        bp: Option<&Backpressure>,
     ) -> Result<(), FaultPlanError> {
-        self.reset(worms, plan, cfg, watchdog)?;
+        self.reset(worms, plan, cfg, watchdog, bp)?;
         let mut cursor = 0;
         while cursor < self.order.len() {
             let w = self.order[cursor] as usize;
@@ -852,8 +914,8 @@ impl RouteSim {
 
     /// Validates and resolves the fault plan, then arms the pools:
     /// crossbars, per-worm records, arrival order, health tables, the
-    /// event heap (fault schedule, plus the first scan if `watchdog`)
-    /// and the transient injector.
+    /// event heap (fault schedule, plus the first scan if `watchdog`),
+    /// the transient injector and the destination stop wires.
     ///
     /// # Panics
     ///
@@ -865,6 +927,7 @@ impl RouteSim {
         plan: &FaultPlan,
         cfg: &ResilienceConfig,
         watchdog: bool,
+        bp: Option<&Backpressure>,
     ) -> Result<(), FaultPlanError> {
         let n = u32::try_from(worms.len()).expect("at most u32::MAX worms per batch");
         if let Some(w) = worms.iter().find(|w| w.plane > 1) {
@@ -924,6 +987,7 @@ impl RouteSim {
         self.orphans.clear();
         self.health.iter_mut().for_each(HealthTable::clear);
         self.injector = TransientInjector::new(plan);
+        self.backpressure = bp.cloned();
         self.live = worms.len();
         self.stats = ResilienceStats {
             offered: worms.len() as u64,
@@ -1207,7 +1271,7 @@ impl RouteSim {
         self.peak_inflight = self.peak_inflight.max(self.inflight);
         self.peak_holding = self.peak_holding.max(self.inflight + self.closing);
         self.events
-            .schedule(self.done_at(&ws, worms[w].payload), Event::Done(w as u32));
+            .schedule(self.done_at(&ws, &worms[w]), Event::Done(w as u32));
     }
 
     /// An open failed: the route byte vanished into `key` and the
@@ -1280,9 +1344,18 @@ impl RouteSim {
     }
 
     /// When a streaming worm's last byte arrives. Cut-through: payload
-    /// and close byte stream at link rate behind the established head.
-    fn done_at(&self, ws: &WormState, payload: u32) -> Time {
-        ws.head_at + self.byte_time * (u64::from(payload) + 1)
+    /// and close byte stream at link rate behind the established head,
+    /// or, under backpressure, from the next link tick at the pace the
+    /// destination's stop wire allows.
+    fn done_at(&self, ws: &WormState, worm: &Worm) -> Time {
+        let bytes = u64::from(worm.payload) + 1;
+        let Some(bp) = &self.backpressure else {
+            return ws.head_at + self.byte_time * bytes;
+        };
+        let bt = self.byte_time.as_ps();
+        let windows = bp.windows.get(worm.dst).map_or(&[][..], Vec::as_slice);
+        let s = stopwire::stream_batched(bp.stop, ws.head_at.as_ps().div_ceil(bt), bytes, windows);
+        Time::from_ps((s.finish_tick + 1) * bt)
     }
 
     /// Spends the failed attempt: schedule a jittered-backoff retry, or
@@ -1315,7 +1388,7 @@ impl RouteSim {
     fn on_done(&mut self, worms: &[Worm], w: usize, now: Time, cfg: &ResilienceConfig) {
         let ws = self.worms[w];
         let payload = worms[w].payload;
-        if ws.phase != Phase::Streaming || self.done_at(&ws, payload) != now {
+        if ws.phase != Phase::Streaming || self.done_at(&ws, &worms[w]) != now {
             return;
         }
         self.inflight -= 1;
@@ -1531,6 +1604,50 @@ pub fn permutation_worms(
         }
     }
     out
+}
+
+/// `per_node` worms from every node on plane 0, node-major, the `k`-th
+/// injected at `10 ns * k`, each to the node `dst` picks for its source.
+fn staggered_worms(
+    nodes: usize,
+    per_node: u32,
+    payload: u32,
+    mut dst: impl FnMut(NodeId) -> NodeId,
+) -> Vec<Worm> {
+    let mut out = Vec::with_capacity(nodes * per_node as usize);
+    for src in 0..nodes {
+        for k in 0..per_node {
+            out.push(Worm {
+                src,
+                dst: dst(src),
+                plane: 0,
+                payload,
+                inject_at: Time::ZERO + Duration::from_ns(10) * u64::from(k),
+            });
+        }
+    }
+    out
+}
+
+/// Node `i` sends `per_node` worms to node `(i + rotate) mod nodes`: on
+/// one crossbar, the conflict-free case it serves at full rate.
+pub fn rotation_worms(nodes: usize, per_node: u32, payload: u32, rotate: usize) -> Vec<Worm> {
+    staggered_worms(nodes, per_node, payload, |src| (src + rotate) % nodes)
+}
+
+/// Every node sends `per_node` worms to uniformly random destinations
+/// (itself included), for saturation experiments.
+pub fn uniform_random_worms(nodes: usize, per_node: u32, payload: u32, seed: u64) -> Vec<Worm> {
+    let mut rng = pm_sim::rng::SimRng::seed_from(seed);
+    staggered_worms(nodes, per_node, payload, |_| {
+        rng.gen_range(0, nodes as u64) as NodeId
+    })
+}
+
+/// Every node sends `per_node` worms to node 0: the hot-spot worst
+/// case, one output serialising everything.
+pub fn hotspot_worms(nodes: usize, per_node: u32, payload: u32) -> Vec<Worm> {
+    staggered_worms(nodes, per_node, payload, |_| 0)
 }
 
 #[cfg(test)]
@@ -1871,6 +1988,95 @@ mod tests {
         // payload from the on-time ledger.
         let tight = r.completions[0].since(Time::ZERO);
         assert_eq!(r.on_time_bytes(&worms, tight), 4096);
+    }
+
+    // --- one crossbar: X5's fabric ---
+
+    /// Sixteen nodes on one crossbar, node `i` on port `i`.
+    fn crossbar16() -> RouteSim {
+        let mut t = Topology::with_nodes(16);
+        let x = t.add_crossbar(CrossbarConfig::powermanna());
+        for n in 0..16 {
+            t.connect_node(n, 0, x, n as u32, LinkKind::Synchronous);
+        }
+        RouteSim::new(&t)
+    }
+
+    #[test]
+    fn permutation_traffic_never_conflicts_on_one_crossbar() {
+        let r = crossbar16().run(&rotation_worms(16, 8, 256, 5), RoutePolicy::Oblivious);
+        assert_eq!(r.conflicts, 0);
+        // All 16 streams at 60 MB/s: aggregate near 16x one link.
+        assert!(
+            r.throughput_mbs() > 700.0,
+            "aggregate {:.0} MB/s",
+            r.throughput_mbs()
+        );
+    }
+
+    #[test]
+    fn hotspot_traffic_serialises_on_one_output() {
+        let r = crossbar16().run(&hotspot_worms(16, 2, 256), RoutePolicy::Oblivious);
+        // One output at 60 MB/s bounds aggregate throughput.
+        assert!(
+            r.throughput_mbs() < 65.0,
+            "hotspot {:.0} MB/s must be one-link bound",
+            r.throughput_mbs()
+        );
+        assert!(r.conflicts > 0);
+    }
+
+    #[test]
+    fn uniform_traffic_lands_between_the_extremes() {
+        let mut s = crossbar16();
+        let mut mbs = |worms: Vec<Worm>| s.run(&worms, RoutePolicy::Oblivious).throughput_mbs();
+        let uniform = mbs(uniform_random_worms(16, 16, 256, 7));
+        let perm = mbs(rotation_worms(16, 16, 256, 1));
+        let hot = mbs(hotspot_worms(16, 16, 256));
+        assert!(
+            hot < uniform && uniform < perm,
+            "hotspot {hot:.0} < uniform {uniform:.0} < permutation {perm:.0} MB/s"
+        );
+    }
+
+    #[test]
+    fn a_stalled_destination_delays_only_its_own_worms() {
+        // Node 0 refuses bytes for a long stretch; node 1 never stalls.
+        let stall = vec![(0, 100_000)];
+        let bp = Backpressure {
+            stop: StopWireConfig::powermanna(),
+            windows: vec![stall.clone()],
+        };
+        let worms = [worm(2, 0, 1024, Time::ZERO), worm(3, 1, 1024, Time::ZERO)];
+        let mut s = crossbar16();
+        let free = s.run(&worms, RoutePolicy::Oblivious);
+        let r = s.run_with_backpressure(&worms, &bp);
+        let bt = crate::wire::WireConfig::synchronous().byte_time;
+        // The unstalled worm only waits for the next link tick.
+        assert!(r.completions[1] >= free.completions[1]);
+        assert!(r.completions[1] < free.completions[1] + bt);
+        // The stalled one streams at the pace of the stop-wire
+        // reference, from the tick after its route is established.
+        let established = Time::ZERO + bt + CrossbarConfig::powermanna().route_time;
+        let start_tick = established.as_ps().div_ceil(bt.as_ps());
+        let reference =
+            stopwire::stream_per_flit(StopWireConfig::powermanna(), start_tick, 1025, &stall);
+        assert!(reference.finish_tick >= 100_000);
+        assert_eq!(
+            r.completions[0],
+            Time::from_ps((reference.finish_tick + 1) * bt.as_ps())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "single crossbar")]
+    fn backpressure_needs_a_single_crossbar() {
+        let (_, mut s) = sim128();
+        let bp = Backpressure {
+            stop: StopWireConfig::powermanna(),
+            windows: Vec::new(),
+        };
+        s.run_with_backpressure(&[worm(0, 127, 64, Time::ZERO)], &bp);
     }
 
     // --- resilient runs ---

@@ -38,9 +38,9 @@ use pm_sim::rng::SimRng;
 
 /// A stall schedule: sorted, disjoint, half-open `[start, end)` windows
 /// of absolute link ticks during which a downstream consumer cannot
-/// accept bytes. Shared by the stop-wire engines, [`crate::flitsim`]'s
-/// per-output backpressure schedules and the route-level composition in
-/// [`stream_route`].
+/// accept bytes. Shared by the stop-wire engines, the per-destination
+/// schedules of [`crate::routesim::Backpressure`] and the route-level
+/// composition in [`stream_route`].
 pub type StallWindows = Vec<(u64, u64)>;
 
 /// Geometry and thresholds of one receiver FIFO + stop wire.

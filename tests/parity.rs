@@ -26,10 +26,10 @@ use powermanna::mem::{
     MesiState, Tlb, TlbConfig, TlbStats,
 };
 use powermanna::net::crossbar::CrossbarConfig;
-use powermanna::net::flitsim::{self, Backpressure, FlitSim, FlitSimResult};
 use powermanna::net::network::{Network, RouteBackpressure};
+use powermanna::net::routesim::{self, Backpressure, RoutePolicy, RouteSim, RouteSimResult};
 use powermanna::net::stopwire::{random_windows, stream_batched, stream_per_flit, StopWireConfig};
-use powermanna::net::topology::Topology;
+use powermanna::net::topology::{LinkKind, Topology};
 use powermanna::sim::rng::SimRng;
 use powermanna::sim::time::Time;
 
@@ -571,42 +571,42 @@ fn backpressured_network_single_crossbar_matches_per_flit_reference() {
     }
 }
 
-// --- FlitSim under backpressure: no state leaks -------------------------
+// --- RouteSim under backpressure: no state leaks ------------------------
 
-/// Compares everything two flit-sim runs can observably differ in.
-fn assert_results_identical(a: &FlitSimResult, b: &FlitSimResult, what: &str) {
+/// Compares everything two route-simulator runs can observably differ in.
+fn assert_results_identical(a: &RouteSimResult, b: &RouteSimResult, what: &str) {
     assert_eq!(a.completions, b.completions, "{what}: completions");
     assert_eq!(a.finished_at, b.finished_at, "{what}: makespan");
     assert_eq!(a.payload_bytes, b.payload_bytes, "{what}: payload");
-    assert_eq!(
-        a.stop_transitions, b.stop_transitions,
-        "{what}: stop transitions"
-    );
-    assert_eq!(
-        a.stalled_link_ticks, b.stalled_link_ticks,
-        "{what}: stalled ticks"
-    );
-    assert_eq!(a.head_blocking, b.head_blocking, "{what}: head blocking");
+    assert_eq!(a.peak_inflight, b.peak_inflight, "{what}: peak in flight");
+    assert_eq!(a.conflicts, b.conflicts, "{what}: conflicts");
+    assert_eq!(a.detours, b.detours, "{what}: detours");
 }
 
-/// A simulator that just ran a backpressured batch produces the exact
-/// same plain-run result afterwards as a brand-new one: backpressure
-/// state cannot leak into subsequent runs.
+/// A single-crossbar simulator that just ran a backpressured batch
+/// produces the exact same plain-run result afterwards as a brand-new
+/// one: backpressure state cannot leak into subsequent runs.
 #[test]
 fn backpressure_state_does_not_leak_into_plain_runs() {
-    let cfg = CrossbarConfig::powermanna();
-    let traffic = flitsim::uniform_traffic(cfg, 3, 128, 77);
+    let mut topo = Topology::with_nodes(16);
+    let x = topo.add_crossbar(CrossbarConfig::powermanna());
+    for n in 0..16 {
+        topo.connect_node(n, 0, x, n as u32, LinkKind::Synchronous);
+    }
+    let traffic = routesim::uniform_random_worms(16, 3, 128, 77);
     let bp = Backpressure {
         stop: StopWireConfig::powermanna(),
-        windows: vec![vec![(0, 4000)]; cfg.ports as usize],
+        windows: vec![vec![(0, 4000)]; 16],
     };
-    let mut used = FlitSim::new();
-    let _ = used.run_with_backpressure(cfg, &traffic, &bp);
-    let after = used.run(cfg, &traffic);
-    let clean = FlitSim::new().run(cfg, &traffic);
+    let mut used = RouteSim::new(&topo);
+    let stalled = used.run_with_backpressure(&traffic, &bp);
+    let after = used.run(&traffic, RoutePolicy::Oblivious);
+    let clean = RouteSim::new(&topo).run(&traffic, RoutePolicy::Oblivious);
+    assert!(
+        stalled.finished_at > clean.finished_at,
+        "the stalled run must differ for the comparison to mean anything"
+    );
     assert_results_identical(&after, &clean, "post-backpressure plain run");
-    assert_eq!(after.stop_transitions, 0);
-    assert_eq!(after.stalled_link_ticks, 0);
 }
 
 /// The full QUIPS pipeline is deterministic and unchanged by how many

@@ -371,7 +371,18 @@ use powermanna::comm::mpi::MpiWorld;
 use powermanna::cpu::{Cpu, CpuConfig};
 use powermanna::isa::parse_kernel;
 use powermanna::net::crossbar::CrossbarConfig;
-use powermanna::net::flitsim;
+use powermanna::net::routesim::{self, RoutePolicy, RouteSim};
+use powermanna::net::topology::LinkKind;
+
+/// Sixteen nodes on one PowerMANNA crossbar, node `i` on port `i`.
+fn crossbar16() -> Topology {
+    let mut t = Topology::with_nodes(16);
+    let x = t.add_crossbar(CrossbarConfig::powermanna());
+    for n in 0..16 {
+        t.connect_node(n, 0, x, n as u32, LinkKind::Synchronous);
+    }
+    t
+}
 
 /// Executing a prefix of a trace never takes longer than the whole
 /// trace (time is monotone in work).
@@ -397,19 +408,20 @@ fn cpu_time_monotone_in_work() {
     }
 }
 
-/// The flit simulator conserves packets and payload for any traffic.
+/// A single-crossbar `RouteSim` conserves worms and payload for any
+/// uniform traffic.
 #[test]
-fn flitsim_conserves_payload() {
+fn routesim_crossbar_conserves_payload() {
     let mut rng = cases(13);
+    let mut sim = RouteSim::new(&crossbar16());
     for _ in 0..24 {
-        let per_input = rng.gen_range(1, 8) as u32;
+        let per_node = rng.gen_range(1, 8) as u32;
         let payload = rng.gen_range(1, 512) as u32;
         let seed = rng.next_u64();
-        let cfg = CrossbarConfig::powermanna();
-        let packets = flitsim::uniform_traffic(cfg, per_input, payload, seed);
-        let r = flitsim::simulate(cfg, &packets);
-        assert_eq!(r.completions.len(), packets.len());
-        assert_eq!(r.payload_bytes, (packets.len() as u64) * u64::from(payload));
+        let worms = routesim::uniform_random_worms(16, per_node, payload, seed);
+        let r = sim.run(&worms, RoutePolicy::Oblivious);
+        assert_eq!(r.completions.len(), worms.len());
+        assert_eq!(r.payload_bytes, (worms.len() as u64) * u64::from(payload));
         assert!(r.completions.iter().all(|&c| c > Time::ZERO));
         // Aggregate throughput can never exceed all 16 links flat out.
         assert!(r.throughput_mbs() <= 16.0 * 60.5);
@@ -602,8 +614,7 @@ fn dram_bank_conflict_bursts() {
 
 // --- Stop-wire flow control (pm-net) ------------------------------------
 
-use powermanna::net::crossbar::CrossbarConfig as XbarConfig;
-use powermanna::net::flitsim::Backpressure;
+use powermanna::net::routesim::Backpressure;
 use powermanna::net::stopwire::{self, StopWireConfig};
 
 /// §3.2 losslessness, as a property: under arbitrary random
@@ -640,18 +651,18 @@ fn stop_wire_is_lossless_and_bounded() {
     }
 }
 
-/// The backpressured crossbar conserves packets and payload for any
-/// traffic pattern and stall schedule, and throttled runs never beat
-/// the unobstructed ones.
+/// A backpressured single-crossbar `RouteSim` conserves worms and
+/// payload for any uniform traffic and stall schedule, and its stalled
+/// makespan is never shorter than the free one.
 #[test]
-fn flitsim_conserves_payload_under_backpressure() {
+fn routesim_crossbar_conserves_payload_under_backpressure() {
     let mut rng = cases(21);
-    let cfg = XbarConfig::powermanna();
+    let mut sim = RouteSim::new(&crossbar16());
     for _ in 0..8 {
-        let per_input = rng.gen_range(1, 4) as u32;
+        let per_node = rng.gen_range(1, 4) as u32;
         let payload = rng.gen_range(16, 400) as u32;
-        let packets = flitsim::uniform_traffic(cfg, per_input, payload, rng.next_u64());
-        let windows = (0..cfg.ports)
+        let worms = routesim::uniform_random_worms(16, per_node, payload, rng.next_u64());
+        let windows = (0..16)
             .map(|_| {
                 let count = rng.gen_range(1, 10) as u32;
                 stopwire::random_windows(&mut rng, 40_000, count, 3000)
@@ -661,11 +672,10 @@ fn flitsim_conserves_payload_under_backpressure() {
             stop: StopWireConfig::powermanna(),
             windows,
         };
-        let free = flitsim::simulate(cfg, &packets);
-        let mut sim = flitsim::FlitSim::new();
-        let r = sim.run_with_backpressure(cfg, &packets, &bp);
-        assert_eq!(r.completions.len(), packets.len());
-        assert_eq!(r.payload_bytes, (packets.len() as u64) * u64::from(payload));
+        let free = sim.run(&worms, RoutePolicy::Oblivious);
+        let r = sim.run_with_backpressure(&worms, &bp);
+        assert_eq!(r.completions.len(), worms.len());
+        assert_eq!(r.payload_bytes, (worms.len() as u64) * u64::from(payload));
         assert!(r.completions.iter().all(|&c| c > Time::ZERO));
         assert!(
             r.finished_at >= free.finished_at,
