@@ -185,9 +185,12 @@ impl Crossbar {
 
     /// Publishes route/conflict counters under `prefix`: the crossbar
     /// totals plus a `{prefix}/port{p}/...` breakdown for every output
-    /// port that saw traffic (idle ports are omitted to keep the tree
-    /// readable).
+    /// port that saw traffic. A crossbar that routed nothing publishes
+    /// nothing, as idle ports do, to keep the tree readable.
     pub fn publish_metrics(&self, reg: &mut MetricRegistry, prefix: &str) {
+        if self.routes == 0 {
+            return;
+        }
         reg.count(&format!("{prefix}/routes"), self.routes);
         reg.count(&format!("{prefix}/conflicts"), self.conflicts);
         for p in 0..self.config.ports {
@@ -290,6 +293,20 @@ mod tests {
         let g2 = xb.route(2, 5, Time::from_ps(2_000_000));
         assert_eq!(g2.established, Time::from_ps(2_200_000));
         assert_eq!(xb.routes(), 2);
+    }
+
+    #[test]
+    fn only_a_crossbar_that_routed_publishes() {
+        let mut xb = Crossbar::new(CrossbarConfig::powermanna());
+        let mut reg = MetricRegistry::new();
+        xb.publish_metrics(&mut reg, "idle");
+        assert!(reg.is_empty(), "an idle crossbar publishes no rows");
+        xb.route(0, 5, Time::ZERO);
+        xb.publish_metrics(&mut reg, "busy");
+        assert_eq!(reg.counter_value("busy/routes"), Some(1));
+        assert_eq!(reg.counter_value("busy/conflicts"), Some(0));
+        assert_eq!(reg.counter_value("busy/port5/routes"), Some(1));
+        assert_eq!(reg.len(), 4, "idle ports publish no rows");
     }
 
     #[test]

@@ -94,8 +94,9 @@ fn mesh_outcomes_reconcile_with_registry() {
         assert_eq!(reg.counter_value("mesh/bytes"), Some(bytes));
         assert_eq!(reg.counter_value("mesh/stalled_bytes"), Some(stalled));
         assert_eq!(reg.counter_value("mesh/transfers"), Some(transfers));
+        // Routers that routed nothing publish no rows.
         let routes: u64 = (0..16)
-            .map(|x| reg.counter_value(&format!("mesh/xbar{x}/routes")).unwrap())
+            .filter_map(|x| reg.counter_value(&format!("mesh/xbar{x}/routes")))
             .sum();
         assert_eq!(routes, hops);
     }
