@@ -12,7 +12,10 @@
 //!   the per-set `Vec` stores they replaced, which the suite keeps as a
 //!   reference model and drives with the same calls;
 //! * `MemorySystem::reset_to`, which pmbench calls between sweep points,
-//!   must leave a system exactly as `MemorySystem::new` builds it.
+//!   must leave a system exactly as `MemorySystem::new` builds it;
+//! * the cycle engine's dispatch cursor and windows must reproduce the
+//!   results recorded before they were reworked, on a fixed-seed corpus
+//!   that reaches the paths no figure golden does.
 //!
 //! The observable behaviour must be *byte-identical* between the two
 //! sides. This suite runs both over fixed-seed workloads and asserts
@@ -857,5 +860,191 @@ fn watchdog_under_load_matches_the_recorded_outcomes() {
         assert_eq!(name, wname);
         assert_eq!(counters, &wcounters, "{name}");
         assert_eq!(digest, wdigest, "{name}");
+    }
+}
+
+// --- Cycle engine: recorded corpus ---------------------------------------
+
+/// A fixed-seed instruction stream of `segments` random segments, each
+/// aimed at one corner of the cycle engine: a mix of every `OpClass`
+/// whose sources come from recent results, a dependent chain of one
+/// class, a run of coin-flip branches at one pc (a mispredict storm), a
+/// burst of stores to cold lines (the store buffer fills), and loads
+/// spread over 4,096 pages, more than any modelled TLB holds.
+fn engine_stream(rng: &mut SimRng, segments: usize) -> Vec<powermanna::isa::Instr> {
+    use powermanna::isa::{Instr, OpClass, Reg, VAddr};
+    const CLASSES: [OpClass; 11] = [
+        OpClass::IntAlu,
+        OpClass::IntMul,
+        OpClass::IntDiv,
+        OpClass::FpAdd,
+        OpClass::FpMul,
+        OpClass::FpMadd,
+        OpClass::FpDiv,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::Branch,
+        OpClass::Nop,
+    ];
+    let mut out = Vec::new();
+    let mut last = Reg(0);
+    let fresh = |rng: &mut SimRng| Reg(rng.gen_range(0, 4096) as u16);
+    for _ in 0..segments {
+        match rng.gen_range(0, 5) {
+            0 => {
+                for _ in 0..rng.gen_range(16, 64) {
+                    let src = if rng.gen_bool(0.6) { last } else { fresh(rng) };
+                    let other = fresh(rng);
+                    let dst = fresh(rng);
+                    // Half the memory references hit a 4 KB hot region.
+                    let addr = if rng.gen_bool(0.5) {
+                        rng.gen_range(0, 512) * 8
+                    } else {
+                        rng.gen_range(0, 1 << 21) * 8
+                    };
+                    let instr = match CLASSES[rng.gen_range(0, 11) as usize] {
+                        OpClass::Load => Instr::load(dst, VAddr(addr), 8, Some(src)),
+                        OpClass::Store => Instr::store(src, VAddr(addr), 8),
+                        OpClass::Branch => {
+                            let pc = rng.gen_range(0, 8) * 4;
+                            Instr::branch_at(pc, rng.gen_bool(0.8), Some(src))
+                        }
+                        OpClass::Nop => Instr::nop(),
+                        op => Instr::alu(op, Some(dst), Some(src), Some(other)),
+                    };
+                    if instr.dst.is_some() {
+                        last = dst;
+                    }
+                    out.push(instr);
+                }
+            }
+            1 => {
+                let op = CLASSES[rng.gen_range(0, 8) as usize];
+                for _ in 0..rng.gen_range(8, 32) {
+                    let dst = fresh(rng);
+                    out.push(match op {
+                        OpClass::Load => {
+                            let addr = rng.gen_range(0, 1 << 16) * 8;
+                            Instr::load(dst, VAddr(addr), 8, Some(last))
+                        }
+                        op => Instr::alu(op, Some(dst), Some(last), Some(last)),
+                    });
+                    last = dst;
+                }
+            }
+            2 => {
+                let pc = 0x400 + rng.gen_range(0, 4) * 4;
+                for _ in 0..rng.gen_range(16, 64) {
+                    out.push(Instr::branch_at(pc, rng.gen_bool(0.5), None));
+                }
+            }
+            3 => {
+                let base = rng.gen_range(0, 1 << 14) * 4096;
+                for i in 0..rng.gen_range(16, 48) {
+                    out.push(Instr::store(last, VAddr(base + i * 64), 8));
+                }
+            }
+            _ => {
+                for _ in 0..rng.gen_range(32, 96) {
+                    let addr = rng.gen_range(0, 4096) * 4096 + rng.gen_range(0, 512) * 8;
+                    let dst = fresh(rng);
+                    out.push(Instr::load(dst, VAddr(addr), 8, None));
+                    last = dst;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every field of a `RunResult`, in declaration order, as integers.
+fn run_fields(r: &powermanna::cpu::RunResult) -> [u64; 13] {
+    [
+        r.instrs,
+        r.cycles,
+        r.elapsed.as_ps(),
+        r.finished_at.as_ps(),
+        r.flops,
+        r.loads,
+        r.stores,
+        r.branches,
+        r.mispredicts,
+        r.operand_stall.as_ps(),
+        r.unit_stall.as_ps(),
+        r.load_latency.as_ps(),
+        r.frontend_stall.as_ps(),
+    ]
+}
+
+/// MatMult and HINT never issue an integer or FP divide or a mispredict
+/// storm, so no golden pins those engine paths. This corpus does, on
+/// every machine preset with its own node memory: two streams through
+/// `Cpu::execute_at` on one `Cpu` and one memory system (the second
+/// starts later, off a clock edge, with the predictor and caches warm),
+/// then two more through a two-lane `run_smp_at` on a fresh memory
+/// system. Each row holds every `RunResult` field in declaration order;
+/// the values were recorded before the engine's dispatch cursor and
+/// windows were rewritten.
+#[test]
+fn engine_corpus_matches_the_recorded_results() {
+    use powermanna::cpu::{run_smp_at, Cpu};
+
+    let mut rng = cases(0xC0DE);
+    let mut got = Vec::new();
+    for sys in [
+        systems::powermanna(),
+        systems::sun_ultra(),
+        systems::pentium_180(),
+        systems::pentium_266(),
+    ] {
+        let mut mem = MemorySystem::new(sys.node.mem);
+        let mut cpu = Cpu::new(sys.node.cpu.clone());
+        let first = cpu.execute_at(
+            engine_stream(&mut rng, 400),
+            &mut mem,
+            0,
+            Time::from_ps(1_000_003),
+        );
+        let later = Time::from_ps(first.finished_at.as_ps() + 2_777);
+        let second = cpu.execute_at(engine_stream(&mut rng, 400), &mut mem, 0, later);
+        got.push((sys.name, "first", run_fields(&first)));
+        got.push((sys.name, "second", run_fields(&second)));
+
+        let mut mem = MemorySystem::new(sys.node.mem);
+        let lanes = vec![engine_stream(&mut rng, 300), engine_stream(&mut rng, 300)];
+        let cpus = [sys.node.cpu.clone(), sys.node.cpu.clone()];
+        let smp = run_smp_at(&cpus, lanes, &mut mem, Time::from_ps(5_000_001));
+        got.push((sys.name, "lane0", run_fields(&smp[0])));
+        got.push((sys.name, "lane1", run_fields(&smp[1])));
+    }
+    // (system, run, [instrs, cycles, elapsed, finished_at, flops, loads,
+    // stores, branches, mispredicts, operand_stall, unit_stall,
+    // load_latency, frontend_stall]), times in ps.
+    #[rustfmt::skip]
+    let want: [(&str, &str, [u64; 13]); 16] = [
+        ("PowerMANNA", "first", [15773, 529463, 2941463558, 2942463561, 1991, 6088, 2550, 3808, 1815, 4096879892, 149640254, 1754530132, 2936150153]),
+        ("PowerMANNA", "second", [15488, 467064, 2594803998, 5537270336, 2725, 5331, 2722, 3725, 1787, 3728394602, 135652191, 1491444348, 2582889044]),
+        ("PowerMANNA", "lane0", [11962, 400010, 2222279416, 2227279417, 1892, 4166, 2324, 2570, 1193, 2665117453, 93324893, 1327380827, 2216589008]),
+        ("PowerMANNA", "lane1", [11844, 419792, 2332177786, 2337177787, 1772, 4417, 2073, 2554, 1188, 3309217093, 134031969, 1433718813, 2328394561]),
+        ("SUN", "first", [15823, 479682, 2855255786, 2856255789, 1911, 6911, 2566, 2875, 1339, 6191898434, 15691891, 2057955353, 2850303683]),
+        ("SUN", "second", [16186, 443145, 2637771196, 5494029762, 2549, 6106, 2859, 3296, 1545, 6840500833, 19619004, 1787303296, 2632345390]),
+        ("SUN", "lane0", [11025, 370801, 2207154761, 2212154762, 1456, 3908, 2200, 2588, 1263, 4638654810, 7164065, 1949810392, 2203238199]),
+        ("SUN", "lane1", [11432, 376572, 2241500234, 2246500235, 1562, 3934, 2413, 2804, 1328, 5036317497, 8369991, 1919303492, 2234773902]),
+        ("PC/180", "first", [16080, 243015, 1350086103, 1351086106, 2092, 6286, 2586, 3897, 1904, 8400751959, 752477978, 2623969894, 1329861299]),
+        ("PC/180", "second", [15398, 200315, 1112861198, 2463950081, 2586, 5123, 2181, 4243, 2004, 7642656995, 557870762, 2068381093, 1098705763]),
+        ("PC/180", "lane0", [11464, 287358, 1596435981, 1601435982, 2070, 3925, 2343, 2476, 1175, 9736097748, 529288380, 4074540945, 1576683446]),
+        ("PC/180", "lane1", [11339, 304163, 1689794918, 1694794919, 1699, 4193, 2189, 2393, 1153, 12394603385, 559685710, 4377372817, 1678261226]),
+        ("PC/266", "first", [15770, 330560, 1242710523, 1243710526, 2007, 5742, 2989, 3792, 1819, 6377494289, 480877254, 2451363496, 1235710689]),
+        ("PC/266", "second", [15500, 310119, 1165861928, 2409575231, 2575, 5261, 2781, 3566, 1623, 8696646534, 663630433, 2154920558, 1158003953]),
+        ("PC/266", "lane0", [11192, 398305, 1497388949, 1502388950, 1827, 3706, 2109, 2898, 1352, 8524255711, 405154790, 3935238953, 1491477572]),
+        ("PC/266", "lane1", [11668, 425933, 1601252172, 1606252173, 2047, 4293, 2059, 2275, 1114, 8723938050, 600855635, 4337254051, 1595496378]),
+    ];
+    for (sys, run, fields) in &got {
+        eprintln!("(\"{sys}\", \"{run}\", {fields:?}),");
+    }
+    assert_eq!(got.len(), want.len());
+    for ((sys, run, fields), (wsys, wrun, wfields)) in got.iter().zip(want) {
+        assert_eq!((*sys, *run), (wsys, wrun));
+        assert_eq!(fields, &wfields, "{sys} {run}");
     }
 }
