@@ -10,7 +10,9 @@
 //!   figures --csv x5 x6     # print raw CSV (with `# id` headers) for
 //!                           # the named experiments — ci.sh diffs this
 //!                           # against committed goldens
-//!   figures --time          # time every experiment, write BENCH_figures.json
+//!   figures --time          # time every experiment in three serial passes
+//!                           # (median, min, max), then the bundle once in
+//!                           # parallel; write BENCH_figures.json
 //!                           # (with --serial: skip the parallel pass)
 //!   figures --metrics       # run the observability scenario, print the
 //!                           # rendered registry tree, write out/metrics.csv
@@ -128,13 +130,46 @@ fn main() {
     }
 }
 
+/// Serial passes `figures --time` makes over the bundle. A single pass
+/// cannot resolve a per-experiment change under about 30 % on a shared
+/// host; each recorded time is the median of these passes.
+const SERIAL_PASSES: usize = 3;
+
+/// The median, minimum and maximum of repeated timings, in ms.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
 /// Times the full experiment bundle and writes `BENCH_figures.json`.
 ///
-/// The serial pass runs every experiment one at a time with the worker
-/// pool disabled, recording per-experiment wall-clock; the parallel
-/// pass (skipped under `--serial`) re-runs the whole bundle through
-/// [`run_all`]'s sweep fan-out and records the total. The speedup is
-/// serial-total over parallel-total on this host.
+/// The serial passes run every experiment one at a time with the worker
+/// pool disabled, [`SERIAL_PASSES`] times over, recording each
+/// experiment's median wall-clock with its min and max, and the median
+/// pass total. The parallel pass (skipped under `--serial`) re-runs the
+/// whole bundle once through [`run_all`]'s sweep fan-out and records the
+/// total. The speedup is the median serial total over the parallel
+/// total on this host.
 fn time_bundle(quick: bool, serial_only: bool) {
     let workers = par::available_workers();
     println!(
@@ -143,19 +178,35 @@ fn time_bundle(quick: bool, serial_only: bool) {
     );
 
     // Per-experiment timings, worker pool off: inner sweeps stay inline
-    // so each number is that experiment's standalone serial cost.
+    // so each number is that experiment's standalone serial cost. Whole
+    // passes alternate, so a drift in host speed spreads over every
+    // experiment instead of landing on one.
     par::set_parallel(false);
-    let mut per_experiment = Vec::new();
-    let serial_start = Instant::now();
-    for exp in all_experiments() {
-        let t = Instant::now();
-        black_box((exp.run)(quick, &mut MetricRegistry::new()));
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        println!("  {:14} {:>9.1} ms", exp.id, ms);
-        per_experiment.push((exp.id, ms));
+    let experiments = all_experiments();
+    let mut samples = vec![Vec::with_capacity(SERIAL_PASSES); experiments.len()];
+    let mut pass_totals = Vec::with_capacity(SERIAL_PASSES);
+    for pass in 1..=SERIAL_PASSES {
+        println!("serial pass {pass} of {SERIAL_PASSES}");
+        let pass_start = Instant::now();
+        for (exp, times) in experiments.iter().zip(&mut samples) {
+            let t = Instant::now();
+            black_box((exp.run)(quick, &mut MetricRegistry::new()));
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            println!("  {:14} {:>9.1} ms", exp.id, ms);
+            times.push(ms);
+        }
+        pass_totals.push(pass_start.elapsed().as_secs_f64() * 1e3);
     }
-    let serial_ms = serial_start.elapsed().as_secs_f64() * 1e3;
-    println!("serial total   {serial_ms:>9.1} ms");
+    let per_experiment: Vec<(&str, Spread)> = experiments
+        .iter()
+        .zip(samples)
+        .map(|(exp, times)| (exp.id, Spread::of(times)))
+        .collect();
+    let serial = Spread::of(pass_totals);
+    println!(
+        "serial total   {:>9.1} ms (median of {SERIAL_PASSES}; {:.1} to {:.1})",
+        serial.median, serial.min, serial.max
+    );
 
     let parallel_ms = if serial_only {
         None
@@ -168,7 +219,7 @@ fn time_bundle(quick: bool, serial_only: bool) {
         Some(ms)
     };
     if let Some(p) = parallel_ms {
-        println!("speedup        {:>9.2}x", serial_ms / p);
+        println!("speedup        {:>9.2}x", serial.median / p);
     }
 
     let hot_paths = time_hot_paths(quick);
@@ -189,7 +240,7 @@ fn time_bundle(quick: bool, serial_only: bool) {
             quick,
             workers,
             &per_experiment,
-            serial_ms,
+            serial,
             parallel_ms,
             &hot_paths,
         ),
@@ -294,8 +345,8 @@ fn time_hot_paths(quick: bool) -> Vec<HotPath> {
 fn render_json(
     quick: bool,
     workers: usize,
-    per_experiment: &[(&str, f64)],
-    serial_ms: f64,
+    per_experiment: &[(&str, Spread)],
+    serial: Spread,
     parallel_ms: Option<f64>,
     hot_paths: &[HotPath],
 ) -> String {
@@ -327,21 +378,22 @@ fn render_json(
         ));
     }
     s.push_str("  },\n");
+    s.push_str(&format!("  \"serial_passes\": {SERIAL_PASSES},\n"));
     s.push_str("  \"experiments_ms\": {\n");
-    for (i, (id, ms)) in per_experiment.iter().enumerate() {
+    for (i, (id, spread)) in per_experiment.iter().enumerate() {
         let comma = if i + 1 < per_experiment.len() {
             ","
         } else {
             ""
         };
-        s.push_str(&format!("    \"{id}\": {ms:.3}{comma}\n"));
+        s.push_str(&format!("    \"{id}\": {}{comma}\n", spread.json()));
     }
     s.push_str("  },\n");
-    s.push_str(&format!("  \"serial_total_ms\": {serial_ms:.3},\n"));
+    s.push_str(&format!("  \"serial_total_ms\": {},\n", serial.json()));
     match parallel_ms {
         Some(p) => {
             s.push_str(&format!("  \"parallel_total_ms\": {p:.3},\n"));
-            s.push_str(&format!("  \"speedup\": {:.3}\n", serial_ms / p));
+            s.push_str(&format!("  \"speedup\": {:.3}\n", serial.median / p));
         }
         None => {
             s.push_str("  \"parallel_total_ms\": null,\n");
