@@ -177,6 +177,7 @@ impl BlockRowsEmitter {
 impl Iterator for BlockRowsEmitter {
     type Item = Instr;
 
+    #[inline]
     fn next(&mut self) -> Option<Instr> {
         if self.left == 0 {
             return None;

@@ -330,6 +330,7 @@ impl HintEmitter {
 impl Iterator for HintEmitter {
     type Item = Instr;
 
+    #[inline]
     fn next(&mut self) -> Option<Instr> {
         if self.pos == self.len {
             if self.next_split == self.splits {

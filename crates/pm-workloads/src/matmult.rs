@@ -218,6 +218,7 @@ pub struct MultiplyEmitter {
 impl Iterator for MultiplyEmitter {
     type Item = Instr;
 
+    #[inline]
     fn next(&mut self) -> Option<Instr> {
         if self.left == 0 {
             return None;
@@ -293,6 +294,7 @@ pub struct TransposeEmitter {
 impl Iterator for TransposeEmitter {
     type Item = Instr;
 
+    #[inline]
     fn next(&mut self) -> Option<Instr> {
         if self.left == 0 {
             return None;
