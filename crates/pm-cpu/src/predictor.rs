@@ -40,6 +40,7 @@ impl BranchPredictor {
 
     /// Predicts the branch at `pc`, then trains on the actual `taken`
     /// outcome. Returns whether the *prediction* was correct.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         self.lookups += 1;
         let idx = (pc as usize) & (self.table.len() - 1);
