@@ -322,7 +322,7 @@ impl MemorySystem {
                 } else {
                     l2_state
                 };
-                self.fill_l1(cpu, addr, new_l1_state, after_l2);
+                self.fill_l1(cpu, addr, new_l1_state);
                 return AccessResult {
                     latency: after_l2.since(t),
                     done_at: after_l2,
@@ -331,7 +331,7 @@ impl MemorySystem {
             }
             // Write hit on Shared in L2: upgrade, then fill L1 Modified.
             let done = self.upgrade(cpu, addr, after_l2);
-            self.fill_l1(cpu, addr, MesiState::Modified, done);
+            self.fill_l1(cpu, addr, MesiState::Modified);
             return AccessResult {
                 latency: done.since(t),
                 done_at: done,
@@ -406,7 +406,7 @@ impl MemorySystem {
                 self.bus.data_only(cpu, data_at);
             }
         }
-        self.fill_l1(cpu, addr, new_state, data_at);
+        self.fill_l1(cpu, addr, new_state);
 
         AccessResult {
             latency: data_at.since(t),
@@ -566,11 +566,9 @@ impl MemorySystem {
         grant.addr_done
     }
 
-    fn fill_l1(&mut self, cpu: usize, addr: u64, state: MesiState, _t: Time) {
-        if self.cpus[cpu].l1.probe(addr) != MesiState::Invalid {
-            self.cpus[cpu].l1.set_state(addr, state);
-            return;
-        }
+    /// Installs the line the L1 of `cpu` just missed; `Cache::fill`
+    /// asserts that it is absent.
+    fn fill_l1(&mut self, cpu: usize, addr: u64, state: MesiState) {
         if let Some(victim) = self.cpus[cpu].l1.fill(addr, state) {
             if victim.state.dirty() {
                 // Write the dirty L1 victim down into L2 (no bus traffic;
