@@ -14,8 +14,9 @@ use pm_sim::time::{Duration, Time};
 pub struct DramConfig {
     /// Number of interleaved banks (a power of two).
     pub banks: u32,
-    /// Bytes per interleave unit — consecutive units round-robin over banks.
-    /// PowerMANNA interleaves cache-line-sized bursts.
+    /// Bytes per interleave unit (a power of two) — consecutive units
+    /// round-robin over banks. PowerMANNA interleaves cache-line-sized
+    /// bursts.
     pub interleave_bytes: u32,
     /// Time from row access start to first data (access latency).
     pub access: Duration,
@@ -102,11 +103,16 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if the configured bank count is zero or not a power of two.
+    /// Panics if the configured bank count or interleave unit is zero or
+    /// not a power of two.
     pub fn new(config: DramConfig) -> Self {
         assert!(
             config.banks.is_power_of_two(),
             "bank count must be a power of two"
+        );
+        assert!(
+            config.interleave_bytes.is_power_of_two(),
+            "interleave unit must be a power of two"
         );
         Dram {
             banks: vec![Resource::new(); config.banks as usize],
@@ -124,7 +130,8 @@ impl Dram {
 
     /// Which bank serves `addr`.
     pub fn bank_of(&self, addr: u64) -> u32 {
-        ((addr / self.config.interleave_bytes as u64) % self.config.banks as u64) as u32
+        ((addr >> self.config.interleave_bytes.trailing_zeros()) & u64::from(self.config.banks - 1))
+            as u32
     }
 
     /// Performs a line access at `addr` starting no earlier than `t`.
@@ -235,6 +242,14 @@ mod tests {
     fn rejects_three_banks() {
         let mut cfg = DramConfig::powermanna();
         cfg.banks = 3;
+        Dram::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "interleave unit must be a power of two")]
+    fn rejects_a_48_byte_interleave() {
+        let mut cfg = DramConfig::powermanna();
+        cfg.interleave_bytes = 48;
         Dram::new(cfg);
     }
 }
