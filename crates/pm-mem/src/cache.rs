@@ -1,24 +1,44 @@
 //! A set-associative, write-back, write-allocate cache with per-line MESI
 //! state and LRU replacement.
+//!
+//! Each set keeps its lines in recency order, most recently used first
+//! and empty slots last, so the order is the LRU state: a hit moves its
+//! line to the front, a fill shifts the set down one slot and writes at
+//! the front (the slot shifted out is empty or least recently used), and
+//! an invalidation removes the line and appends an empty slot. MatMult's
+//! reuse sits at the top of that stack, so most hits are found in the
+//! first ways scanned.
 
 use crate::geometry::CacheGeometry;
 use crate::mesi::MesiState;
 
-/// Per-line metadata: tag, MESI state, LRU stamp. An Invalid line is an
-/// empty slot, and its LRU stamp is 0, older than any resident line's.
+/// Per-line metadata: tag and MESI state.
 #[derive(Clone, Copy, Debug)]
 struct Line {
     tag: u64,
     state: MesiState,
-    lru: u64,
 }
+
+/// The tag of an empty slot. No address produces it ([`Cache::new`]
+/// checks), so a scan compares tags alone.
+const EMPTY_TAG: u64 = u64::MAX;
 
 /// An empty slot.
 const EMPTY: Line = Line {
-    tag: 0,
+    tag: EMPTY_TAG,
     state: MesiState::Invalid,
-    lru: 0,
 };
+
+/// Writes `entry` at the front of `set` and shifts the entries in front
+/// of slot `way` down one slot, overwriting the entry at `way`: with the
+/// way of a hit this moves it to the front, and with the last way it
+/// makes room for a new entry.
+pub(crate) fn move_to_front<T: Copy>(set: &mut [T], way: usize, entry: T) {
+    if way > 0 {
+        set.copy_within(..way, 1);
+    }
+    set[0] = entry;
+}
 
 /// A victim line pushed out by a fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,19 +113,27 @@ impl CacheStats {
 pub struct Cache {
     geometry: CacheGeometry,
     /// `sets * ways` slots, set-major: set `s` owns the `ways` slots from
-    /// `s * ways`.
+    /// `s * ways`, most recently used first and empty slots last.
     lines: Vec<Line>,
-    clock: u64,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has one-byte lines and one set: every
+    /// address is then its own tag, which leaves no spare tag to mark an
+    /// empty slot.
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(
+            geometry.tag(u64::MAX) != EMPTY_TAG,
+            "one-byte lines in one set leave no spare tag for an empty slot"
+        );
         Cache {
             geometry,
             lines: vec![EMPTY; geometry.sets() as usize * geometry.ways() as usize],
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -126,7 +154,7 @@ impl Cache {
         let tag = self.geometry.tag(addr);
         self.lines[base..base + self.geometry.ways() as usize]
             .iter()
-            .position(|l| l.tag == tag && l.state != MesiState::Invalid)
+            .position(|l| l.tag == tag)
             .map(|way| base + way)
     }
 
@@ -140,16 +168,15 @@ impl Cache {
     /// Looks up `addr`, updating LRU order and hit/miss statistics.
     /// Returns the line state ([`MesiState::Invalid`] on miss).
     pub fn lookup(&mut self, addr: u64) -> MesiState {
-        self.clock += 1;
-        if let Some(i) = self.find(addr) {
-            let l = &mut self.lines[i];
-            l.lru = self.clock;
-            self.stats.hits += 1;
-            l.state
-        } else {
+        let Some(i) = self.find(addr) else {
             self.stats.misses += 1;
-            MesiState::Invalid
-        }
+            return MesiState::Invalid;
+        };
+        let base = self.set_base(addr);
+        let line = self.lines[i];
+        move_to_front(&mut self.lines[base..=i], i - base, line);
+        self.stats.hits += 1;
+        line.state
     }
 
     /// Installs the line containing `addr` in `state`, evicting the LRU
@@ -161,28 +188,19 @@ impl Cache {
     /// bug) or if `state` is [`MesiState::Invalid`].
     pub fn fill(&mut self, addr: u64, state: MesiState) -> Option<EvictedLine> {
         assert!(state != MesiState::Invalid, "cannot fill an Invalid line");
-        self.clock += 1;
         let geometry = self.geometry;
         let tag = geometry.tag(addr);
         let base = self.set_base(addr);
         let set = &mut self.lines[base..base + geometry.ways() as usize];
         assert!(
-            set.iter()
-                .all(|l| l.tag != tag || l.state == MesiState::Invalid),
+            set.iter().all(|l| l.tag != tag),
             "fill of already-present line {addr:#x}"
         );
-        // An empty slot has the oldest stamp, so a full set evicts its
-        // least recently used way and any other set fills a free one.
-        let slot = set
-            .iter_mut()
-            .min_by_key(|l| l.lru)
-            .expect("a set has at least one way");
-        let old = *slot;
-        *slot = Line {
-            tag,
-            state,
-            lru: self.clock,
-        };
+        // The last slot is empty or least recently used, so a set with a
+        // free slot evicts nothing and a full set evicts its LRU line.
+        let last = set.len() - 1;
+        let old = set[last];
+        move_to_front(set, last, Line { tag, state });
         if old.state == MesiState::Invalid {
             return None;
         }
@@ -199,14 +217,18 @@ impl Cache {
     /// Sets the MESI state of a present line (upgrade/downgrade).
     ///
     /// Setting [`MesiState::Invalid`] removes the line. Does nothing if the
-    /// line is absent.
+    /// line is absent. The lines that stay keep their LRU order.
     pub fn set_state(&mut self, addr: u64, state: MesiState) {
-        if let Some(i) = self.find(addr) {
-            if state == MesiState::Invalid {
-                self.lines[i] = EMPTY;
-            } else {
-                self.lines[i].state = state;
-            }
+        let Some(i) = self.find(addr) else {
+            return;
+        };
+        if state == MesiState::Invalid {
+            // Close the gap and append an empty slot.
+            let end = self.set_base(addr) + self.geometry.ways() as usize;
+            self.lines.copy_within(i + 1..end, i);
+            self.lines[end - 1] = EMPTY;
+        } else {
+            self.lines[i].state = state;
         }
     }
 
@@ -270,6 +292,27 @@ mod tests {
         assert_eq!(victim.base_addr, 256);
         assert_eq!(c.probe(0), MesiState::Exclusive);
         assert_eq!(c.probe(256), MesiState::Invalid);
+    }
+
+    #[test]
+    fn invalidation_frees_a_slot_and_keeps_lru_order() {
+        // 4 sets, 4 ways: set 0 holds the lines at multiples of 256.
+        let mut c = Cache::new(CacheGeometry::new(1024, 4, 64));
+        for k in 0..4 {
+            c.fill(k * 256, MesiState::Exclusive);
+        }
+        c.lookup(0); // most recent first: 0, 768, 512, 256
+        c.set_state(512, MesiState::Invalid);
+        assert_eq!(c.fill(1024, MesiState::Exclusive), None);
+        let victim = c.fill(1280, MesiState::Exclusive).expect("eviction");
+        assert_eq!(victim.base_addr, 256);
+        assert_eq!(c.resident_lines(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "no spare tag")]
+    fn one_byte_lines_in_one_set_panic() {
+        Cache::new(CacheGeometry::new(4, 4, 1));
     }
 
     #[test]
