@@ -136,6 +136,16 @@ for workload in matmult_l2 matmult_tlb hier1024_clean hier1024_faults; do
     --workload "$workload" --seed 1 --seconds 0
 done
 
+echo "== engine hand-off stays inlined =="
+# Cpu::step must inline into the lane loop, or every streamed instruction
+# is stored by one call and reloaded by the next (DESIGN.md §7, "The
+# instruction hand-off"). The digest runs above built the release binary.
+nm -C pmbench/target/release/pmbench > target/pmbench_symbols.txt
+if grep -F 'pm_cpu::engine::Cpu::step' target/pmbench_symbols.txt; then
+  echo "Cpu::step is out of line in the release pmbench binary" >&2
+  exit 1
+fi
+
 echo "== pmbench network digests (holdout seed 2) =="
 # The route simulator's candidate enumeration and dead-link bookkeeping
 # are pinned on a second traffic and fault-plan seed too: the seed-2
